@@ -123,7 +123,10 @@ impl Bench {
     }
 }
 
-/// The Table-2 queries of one dataset (Section 6.3.3 of the paper).
+/// The Table-2 queries of one dataset (Section 6.3.3 of the paper). They
+/// are defined here, not taken from the experiments crate, so the
+/// benchmark's workloads stay fixed when that crate changes; `wos` Q4
+/// groups by city, where the experiments crate repeats Q3.
 fn table2(kind: DatasetKind) -> Vec<(&'static str, Class, Query)> {
     let p = docstore::Path::parse;
     match kind {
