@@ -10,7 +10,7 @@ of `BENCHMARK.json` the table shows each side's median and quartiles
 the quartiles as a share of the median. It flags:
 
   noisy       the spread is above a third of the metric's bound
-  UNSTEADY    the spread is above the bound (never for setup_s)
+  UNSTEADY    the spread is above the bound
   REGRESSION  the change's median is worse than the base's by more than the bound
 
 Untraced runs are compared on the end-to-end metrics, traced runs on the
@@ -89,7 +89,7 @@ def main(argv):
                 flags = []
                 if bound is not None and s > bound / 3:
                     flags.append("noisy")
-                if bound is not None and s > bound and name != "setup_s":
+                if bound is not None and s > bound:
                     flags.append("UNSTEADY")
                     flagged = True
                 medians.append(med)

@@ -85,7 +85,6 @@ def main():
         "--trace", str(args.trace),
         "--out", args.out,
         "--rev", source_rev(),
-        "--profile", "release",
     ]
     try:
         run = subprocess.run(command, cwd=ROOT, env=env, timeout=RUN_TIMEOUT_S)

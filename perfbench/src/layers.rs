@@ -2,7 +2,6 @@
 //! `columnar` and `encoding` public functions over the workload's own
 //! documents and stored pages, each timed as a span.
 
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,17 +17,6 @@ use crate::trace::Tracer;
 
 /// Each probe repeats its call until it has run at least this long.
 const MIN_PROBE: Duration = Duration::from_millis(40);
-
-/// Per-slot header of a page file: payload length and CRC-32, both
-/// little-endian `u32`.
-const SLOT_HEADER: usize = 8;
-
-/// One stored page: its payload (a compression flag byte, then the
-/// encoded bytes) and the CRC-32 stored beside it, when there is one.
-pub struct StoredPage {
-    payload: Vec<u8>,
-    crc: Option<u32>,
-}
 
 /// Repeat `f` until `MIN_PROBE` has passed; returns calls and total time.
 fn repeat(tracer: &mut Tracer, name: &'static str, mut f: impl FnMut()) -> (u32, Duration) {
@@ -143,53 +131,22 @@ pub fn document_probes(tracer: &mut Tracer, docs: &[Value], report: &mut Report)
     });
 }
 
-/// Every non-empty page slot of each `pages.dat` file under `dir`.
-pub fn pages_from_files(dir: &Path, page_size: usize) -> Vec<StoredPage> {
+/// Every non-empty page of a dataset's shards, read through the public
+/// page store (which verifies each page's CRC on the file backend). Each
+/// read is one operation; a read that fails is a failed one.
+pub fn stored_pages(dataset: &ShardedDataset, report: &mut Report) -> Vec<Arc<Vec<u8>>> {
     let mut pages = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(path) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&path) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let p = entry.path();
-            if p.is_dir() {
-                stack.push(p);
-            } else if p.file_name().is_some_and(|n| n == "pages.dat") {
-                let Ok(bytes) = std::fs::read(&p) else {
-                    continue;
-                };
-                for slot in bytes.chunks_exact(page_size) {
-                    let len = u32::from_le_bytes(slot[0..4].try_into().expect("4 bytes")) as usize;
-                    let crc = u32::from_le_bytes(slot[4..8].try_into().expect("4 bytes"));
-                    if len > 0 && SLOT_HEADER + len <= slot.len() {
-                        let payload = slot[SLOT_HEADER..SLOT_HEADER + len].to_vec();
-                        pages.push(StoredPage {
-                            payload,
-                            crc: Some(crc),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    pages
-}
-
-/// Every non-empty page of an in-memory dataset (which has no page file,
-/// so no stored CRC either).
-pub fn pages_from_memory(dataset: &ShardedDataset) -> Vec<StoredPage> {
-    let mut pages = Vec::new();
-    for shard in dataset.shards() {
-        let store = shard.cache().store();
+    for (shard, lsm) in dataset.shards().iter().enumerate() {
+        let store = lsm.cache().store();
         for id in 0..store.page_count() {
-            if let Ok(payload) = store.try_read_page(id) {
-                if !payload.is_empty() {
-                    pages.push(StoredPage {
-                        payload: payload.to_vec(),
-                        crc: None,
-                    });
+            match store.try_read_page(id) {
+                Ok(payload) => {
+                    if !payload.is_empty() {
+                        pages.push(payload);
+                    }
+                    report.op(Ok(()));
                 }
+                Err(e) => report.op(Err(format!("shard {shard} page {id}: {e}"))),
             }
         }
     }
@@ -199,16 +156,11 @@ pub fn pages_from_memory(dataset: &ShardedDataset) -> Vec<StoredPage> {
 /// `encoding` probes over stored pages: CRC-32 over the payloads,
 /// decompression of the compressed ones, and compression of their
 /// decompressed contents.
-pub fn encoding_probes(tracer: &mut Tracer, pages: &[StoredPage], report: &mut Report) {
-    let payload_bytes: usize = pages.iter().map(|p| p.payload.len()).sum();
-    let mut crc_mismatches = 0;
+pub fn encoding_probes(tracer: &mut Tracer, pages: &[Arc<Vec<u8>>], report: &mut Report) {
+    let payload_bytes: usize = pages.iter().map(|p| p.len()).sum();
     let (calls, total) = repeat(tracer, "encoding.crc32", || {
-        crc_mismatches = 0;
         for page in pages {
-            let crc = std::hint::black_box(crc32(&page.payload));
-            if page.crc.is_some_and(|stored| stored != crc) {
-                crc_mismatches += 1;
-            }
+            std::hint::black_box(crc32(page));
         }
     });
     report.headline(
@@ -216,16 +168,11 @@ pub fn encoding_probes(tracer: &mut Tracer, pages: &[StoredPage], report: &mut R
         mb_per_s(payload_bytes, calls, total),
         "MB/s",
     );
-    report.op(if crc_mismatches == 0 {
-        Ok(())
-    } else {
-        Err(format!("{crc_mismatches} stored pages failed their CRC"))
-    });
 
     let compressed: Vec<&[u8]> = pages
         .iter()
-        .filter(|p| p.payload.first() == Some(&1))
-        .map(|p| &p.payload[1..])
+        .filter(|p| p.first() == Some(&1))
+        .map(|p| &p[1..])
         .collect();
     let mut plain: Vec<Vec<u8>> = Vec::new();
     let mut decode_errors = 0;

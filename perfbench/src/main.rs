@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! perfbench --workload <olap-warm|olap-cold|serve-mixed> --seed <n>
-//!           --seconds <s> --trace <0|1> --out <dir> [--rev <id>] [--profile <p>]
+//!           --seconds <s> --trace <0|1> --out <dir> [--rev <id>]
 //! ```
 //!
 //! It generates the workload's documents from the seed with `datagen`,
@@ -83,8 +83,13 @@ const PER_LAYER: [(&str, &str); 40] = [
     ("trace.overhead_pct", "%"),
 ];
 
-/// How often a run sets its workload up; `setup_s` is the median.
+/// A run sets its workload up at least `SETUP_REPEATS` times, and more
+/// while the set-ups so far took less than `SETUP_MIN` (a set-up of a few
+/// ms is at the mercy of one scheduler hiccup), up to `SETUP_MAX_REPEATS`;
+/// `setup_s` is the median.
 const SETUP_REPEATS: usize = 3;
+const SETUP_MIN: Duration = Duration::from_secs(1);
+const SETUP_MAX_REPEATS: usize = 100;
 
 pub struct RunConfig {
     pub seed: u64,
@@ -106,35 +111,43 @@ pub fn seed_for(seed: u64, what: &str) -> u64 {
     hash ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Set-up times: the median of `SETUP_REPEATS` set-ups, raw and scaled
-/// to the reference speed (see `calib`).
+/// Set-up time: the median over the set-ups of a run, in seconds, and the
+/// factor that scales times measured during the set-ups to the reference
+/// speed (see `calib`).
 pub struct SetupTime {
-    pub raw_s: f64,
-    pub scaled_s: f64,
+    pub median_s: f64,
+    pub factor: f64,
+    pub repeats: usize,
 }
 
-/// Run `setup` `SETUP_REPEATS` times, dropping all but the last result
-/// before the next starts, calibrating before each; returns the set-up
-/// times and the last result.
+/// Run `setup` as often as `SETUP_REPEATS` and `SETUP_MIN` ask, dropping
+/// all but the last result before the next starts, with a calibration
+/// sample before each. The set-ups get calibration samples of their own,
+/// not the run's: they take the first seconds of a run, and the host's
+/// speed wanders from one second to the next. A long set-up takes more
+/// samples inside it from the `Calibration` it is passed; the time they
+/// take is not counted. Returns the set-up time and the last result.
 pub fn timed_setups<T>(
-    cal: &mut Calibration,
-    mut setup: impl FnMut() -> Result<T, String>,
+    mut setup: impl FnMut(&mut Calibration) -> Result<T, String>,
 ) -> Result<(SetupTime, T), String> {
-    let mut raw = Vec::new();
-    let mut scaled = Vec::new();
+    let mut cal = Calibration::new();
+    let mut times = Vec::new();
+    let mut total = Duration::ZERO;
     let mut last = None;
-    for _ in 0..SETUP_REPEATS {
+    while times.len() < SETUP_REPEATS || (total < SETUP_MIN && times.len() < SETUP_MAX_REPEATS) {
         drop(last.take());
-        let scale = cal.scale();
+        cal.sample();
         let start = Instant::now();
-        last = Some(setup()?);
-        let seconds = start.elapsed().as_secs_f64();
-        raw.push(seconds);
-        scaled.push(seconds * scale);
+        let spent = cal.spent();
+        last = Some(setup(&mut cal)?);
+        let elapsed = start.elapsed() - (cal.spent() - spent);
+        total += elapsed;
+        times.push(elapsed.as_secs_f64());
     }
     let time = SetupTime {
-        raw_s: stats::median(&raw),
-        scaled_s: stats::median(&scaled),
+        median_s: stats::median(&times),
+        factor: cal.factor(),
+        repeats: times.len(),
     };
     Ok((time, last.expect("at least one setup")))
 }
@@ -146,7 +159,6 @@ struct Args {
     trace: bool,
     out: PathBuf,
     rev: String,
-    profile: String,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -157,7 +169,6 @@ fn parse_args() -> Result<Args, String> {
         trace: false,
         out: PathBuf::from("perfbench/out"),
         rev: "unknown".to_string(),
-        profile: "release".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -170,7 +181,6 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => args.trace = value == "1",
             "--out" => args.out = PathBuf::from(value),
             "--rev" => args.rev = value,
-            "--profile" => args.profile = value,
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -243,9 +253,13 @@ fn run(args: &Args) -> Result<Report, String> {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     report.header("nproc", Value::Int(nproc as i64));
     report.header("rev", Value::from(args.rev.as_str()));
-    report.header("profile", Value::from(args.profile.as_str()));
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    report.header("profile", Value::from(profile));
     report.header("seconds", Value::Double(args.seconds));
-    report.header("setup_repeats", Value::Int(SETUP_REPEATS as i64));
     let outcome = match args.workload.as_str() {
         "olap-warm" => olap::olap_warm(&cfg, &mut report),
         "olap-cold" => olap::olap_cold(&cfg, &mut report),

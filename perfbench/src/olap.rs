@@ -81,8 +81,6 @@ struct Bench {
     query: Query,
     mode: ExecMode,
     samples: Samples,
-    /// `samples` scaled to the reference speed (see `calib`).
-    scaled: Samples,
     /// Traced-half latencies, compared with `samples` for the overhead.
     traced: Samples,
     /// Every answer, run-length encoded: `(rows, times seen in a row)`.
@@ -104,7 +102,6 @@ impl Bench {
             query,
             mode,
             samples: Samples::default(),
-            scaled: Samples::default(),
             traced: Samples::default(),
             answers: Vec::new(),
             pages: Vec::new(),
@@ -243,7 +240,6 @@ fn run_query(
     ds: &ShardedDataset,
     b: &mut Bench,
     tracer: &mut Tracer,
-    scale: f64,
     op: u64,
     report: &mut Report,
 ) {
@@ -260,7 +256,6 @@ fn run_query(
     }
     if !tracer.enabled() {
         b.samples.push(elapsed);
-        b.scaled.push(elapsed.mul_f64(scale));
         return;
     }
     b.traced.push(elapsed);
@@ -311,17 +306,15 @@ fn check_answers(benches: &[Bench], references: &[(&'static str, Reference)], re
     }
 }
 
-/// Per-class p50, p90 and scaled p90 (geometric means over the class's
-/// queries), with the raw ones and each class's minimum sample count as
-/// detail metrics.
+/// Per-class p50 and p90 (geometric means over the class's queries), also
+/// reported as detail metrics with each class's minimum sample count.
 fn class_metrics(
     benches: &[Bench],
     classes: &[Class],
     report: &mut Report,
-) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+) -> (Vec<f64>, Vec<f64>) {
     let mut p50s = Vec::new();
     let mut tails = Vec::new();
-    let mut scaled_tails = Vec::new();
     for &class in classes {
         let members: Vec<&Bench> = benches.iter().filter(|b| b.class == class).collect();
         let n = members.iter().map(|b| b.samples.len()).min().unwrap_or(0);
@@ -343,12 +336,6 @@ fn class_metrics(
         }
         p50s.push(p50);
         tails.push(p90);
-        scaled_tails.push(geomean(
-            &members
-                .iter()
-                .map(|b| b.scaled.percentile(90.0))
-                .collect::<Vec<_>>(),
-        ));
     }
     for b in benches {
         report.detail(
@@ -358,7 +345,7 @@ fn class_metrics(
             Some(b.samples.len()),
         );
     }
-    (p50s, tails, scaled_tails)
+    (p50s, tails)
 }
 
 /// Per-layer query and storage metrics from the traced half.
@@ -491,8 +478,8 @@ fn until(deadline: Instant, mut round: impl FnMut()) {
     }
 }
 
-/// The measured loop until `deadline`, calibrating before each round and
-/// passing the round its scale (see `calib`). Traced, it runs untraced for
+/// The measured loop until `deadline`, with a calibration sample before
+/// each round (see `calib`). Traced, it runs untraced for
 /// the first half of the time left and traced for the second, each at least
 /// `MIN_ROUNDS` rounds, so the two halves give the tracing overhead.
 fn measured_loop(
@@ -500,7 +487,7 @@ fn measured_loop(
     trace: bool,
     tracer: &mut Tracer,
     cal: &mut Calibration,
-    mut round: impl FnMut(&mut Tracer, f64),
+    mut round: impl FnMut(&mut Tracer),
 ) {
     let now = Instant::now();
     let halfway = if trace {
@@ -509,10 +496,16 @@ fn measured_loop(
         deadline
     };
     tracer.set_enabled(false);
-    until(halfway, || round(tracer, cal.scale()));
+    until(halfway, || {
+        cal.sample();
+        round(tracer);
+    });
     if trace {
         tracer.set_enabled(true);
-        until(deadline, || round(tracer, cal.scale()));
+        until(deadline, || {
+            cal.sample();
+            round(tracer);
+        });
         tracer.set_enabled(false);
     }
 }
@@ -587,7 +580,7 @@ fn warm_setup(cfg: &RunConfig) -> Result<WarmSetup, String> {
 
 pub fn olap_warm(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     let mut cal = Calibration::new();
-    let (setup_time, setup) = timed_setups(&mut cal, || warm_setup(cfg))?;
+    let (setup_time, setup) = timed_setups(|_| warm_setup(cfg))?;
     let WarmSetup { store, docs, json } = setup;
     let mut tracer = Tracer::new(false, Instant::now());
     let mut benches = Vec::new();
@@ -617,10 +610,8 @@ pub fn olap_warm(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     let start = Instant::now();
     let deadline = start + cfg.seconds;
     let ingested: usize = docs.iter().map(|(_, batch)| batch.len()).sum();
-    let scale = cal.scale();
     let first = warm_ingest(&store, &docs)?;
     let mut ingest_times = vec![first];
-    let mut scaled_ingests = vec![first * scale];
     let stored: u64 = docs
         .iter()
         .map(|(kind, _)| {
@@ -658,26 +649,17 @@ pub fn olap_warm(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     };
     let io0 = totals(&store);
     let mut op = 0u64;
-    measured_loop(
-        deadline,
-        cfg.trace,
-        &mut tracer,
-        &mut cal,
-        |tracer, scale| {
-            for b in benches.iter_mut() {
-                op += 1;
-                let ds = store.dataset(b.dataset).expect("created in setup");
-                run_query(ds, b, tracer, scale, op, report);
-            }
-            match warm_store().and_then(|scratch| warm_ingest(&scratch, &docs)) {
-                Ok(seconds) => {
-                    ingest_times.push(seconds);
-                    scaled_ingests.push(seconds * scale);
-                }
-                Err(e) => report.op(Err(e)),
-            }
-        },
-    );
+    measured_loop(deadline, cfg.trace, &mut tracer, &mut cal, |tracer| {
+        for b in benches.iter_mut() {
+            op += 1;
+            let ds = store.dataset(b.dataset).expect("created in setup");
+            run_query(ds, b, tracer, op, report);
+        }
+        match warm_store().and_then(|scratch| warm_ingest(&scratch, &docs)) {
+            Ok(seconds) => ingest_times.push(seconds),
+            Err(e) => report.op(Err(e)),
+        }
+    });
     let ingest_s = median(&ingest_times);
     let io1 = totals(&store);
 
@@ -712,7 +694,12 @@ pub fn olap_warm(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
 
     let ingest_rate = ingested as f64 / ingest_s;
     let space_amp = stored as f64 / json as f64;
-    report.detail("setup_s", setup_time.raw_s, "s", None);
+    report.detail(
+        "setup_s",
+        setup_time.median_s,
+        "s",
+        Some(setup_time.repeats),
+    );
     report.detail("ingest_docs_per_s", ingest_rate, "docs/s", Some(ingested));
     report.detail("space_amp", space_amp, "ratio", None);
     let classes = [
@@ -722,7 +709,7 @@ pub fn olap_warm(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
         Class::Filter,
         Class::Interp,
     ];
-    let (p50s, tails, scaled_tails) = class_metrics(&benches, &classes, report);
+    let (p50s, tails) = class_metrics(&benches, &classes, report);
 
     report.detail("read_p50_ms", geomean(&p50s), "ms", None);
     report.detail("read_p90_ms", geomean(&tails), "ms", None);
@@ -742,21 +729,20 @@ pub fn olap_warm(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
             .flat_map(|(_, d)| d.iter().take(PROBE_DOCS / 3).cloned())
             .collect();
         layers::document_probes(&mut tracer, &probe, report);
-        let pages: Vec<layers::StoredPage> = WARM_SETS
-            .iter()
-            .filter_map(|(kind, _)| store.dataset(kind.name()).ok())
-            .flat_map(layers::pages_from_memory)
-            .collect();
+        let mut pages = Vec::new();
+        for ds in &datasets {
+            pages.extend(layers::stored_pages(ds, report));
+        }
         layers::encoding_probes(&mut tracer, &pages, report);
         tracer
             .write_jsonl(&cfg.spans_path)
             .map_err(|e| e.to_string())?;
     } else {
-        let write_us = median(&scaled_ingests) * 1e6 / ingested as f64;
+        let factor = cal.factor();
         report.gate(
-            &setup_time,
-            geomean(&scaled_tails),
-            write_us,
+            setup_time.median_s * setup_time.factor,
+            geomean(&tails) * factor,
+            ingest_s * 1e6 / ingested as f64 * factor,
             space_amp,
             &cal,
         );
@@ -897,7 +883,7 @@ fn latest_versions(base: &[Value], updates: &[Value]) -> Vec<Value> {
 pub fn olap_cold(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     let dir = cfg.work_dir.join("tweet_2");
     let mut cal = Calibration::new();
-    let (setup_time, setup) = timed_setups(&mut cal, || cold_setup(cfg, &dir))?;
+    let (setup_time, setup) = timed_setups(|_| cold_setup(cfg, &dir))?;
     let ColdSetup {
         store,
         base,
@@ -935,7 +921,6 @@ pub fn olap_cold(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     let base_docs = base.len();
     let update_docs = updates.len();
     tracer.set_enabled(cfg.trace);
-    let scale = cal.scale();
     let first = cold_ingest(
         store.dataset("tweet_2").map_err(|e| e.to_string())?,
         base.clone(),
@@ -945,7 +930,6 @@ pub fn olap_cold(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     tracer.set_enabled(false);
     let wal_delta = first.wal_bytes;
     let wal_user_bytes = first.user_bytes;
-    let mut scaled_ingests = vec![first.total_s * scale];
     let mut ingests = vec![first];
     let ds = store.dataset("tweet_2").map_err(|e| e.to_string())?;
     let stored = ds.total_stored_bytes();
@@ -956,62 +940,51 @@ pub fn olap_cold(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
 
     let io0 = ds.io_stats();
     let mut gets = Samples::default();
-    let mut scaled_gets = Samples::default();
     let mut traced_gets = Samples::default();
     let mut get_pages = Vec::new();
     let mut get_assembled = Vec::new();
     let mut op = 0u64;
-    measured_loop(
-        deadline,
-        cfg.trace,
-        &mut tracer,
-        &mut cal,
-        |tracer, scale| {
-            let due = loop_start + loop_time.mul_f64((ingests.len() as f64 - 0.5) / extra as f64);
-            if ingests.len() <= extra && Instant::now() >= due {
-                let mut untraced = Tracer::new(false, loop_start);
-                let ingest = cold_store(&scratch).and_then(|s| {
-                    let scratch_ds = s.dataset("tweet_2").map_err(|e| e.to_string())?;
-                    cold_ingest(scratch_ds, base.clone(), updates.clone(), &mut untraced)
-                });
-                let _ = std::fs::remove_dir_all(&scratch);
-                match ingest {
-                    Ok(i) => {
-                        scaled_ingests.push(i.total_s * scale);
-                        ingests.push(i);
-                    }
-                    Err(e) => report.op(Err(e)),
-                }
+    measured_loop(deadline, cfg.trace, &mut tracer, &mut cal, |tracer| {
+        let due = loop_start + loop_time.mul_f64((ingests.len() as f64 - 0.5) / extra as f64);
+        if ingests.len() <= extra && Instant::now() >= due {
+            let mut untraced = Tracer::new(false, loop_start);
+            let ingest = cold_store(&scratch).and_then(|s| {
+                let scratch_ds = s.dataset("tweet_2").map_err(|e| e.to_string())?;
+                cold_ingest(scratch_ds, base.clone(), updates.clone(), &mut untraced)
+            });
+            let _ = std::fs::remove_dir_all(&scratch);
+            match ingest {
+                Ok(i) => ingests.push(i),
+                Err(e) => report.op(Err(e)),
             }
-            for b in benches.iter_mut() {
-                op += 1;
-                run_query(ds, b, tracer, scale, op, report);
+        }
+        for b in benches.iter_mut() {
+            op += 1;
+            run_query(ds, b, tracer, op, report);
+        }
+        for _ in 0..COLD_GETS_PER_ROUND {
+            op += 1;
+            let key = Value::Int(keys.below(COLD_RECORDS as u64) as i64);
+            let before = ds.io_stats();
+            let (got, elapsed, _) = tracer.span("core.get", None, op, || ds.get(&key));
+            let after = ds.io_stats();
+            let expected = &latest[match key {
+                Value::Int(k) => k as usize,
+                _ => unreachable!("keys are integers"),
+            }];
+            report.op(match got {
+                Ok(doc) => check_doc(&key, doc.as_ref(), expected),
+                Err(e) => Err(format!("GET {key}: {e}")),
+            });
+            if tracer.enabled() {
+                traced_gets.push(elapsed);
+                get_pages.push((after.pages_read - before.pages_read) as f64);
+                get_assembled.push((after.records_assembled - before.records_assembled) as f64);
+            } else {
+                gets.push(elapsed);
             }
-            for _ in 0..COLD_GETS_PER_ROUND {
-                op += 1;
-                let key = Value::Int(keys.below(COLD_RECORDS as u64) as i64);
-                let before = ds.io_stats();
-                let (got, elapsed, _) = tracer.span("core.get", None, op, || ds.get(&key));
-                let after = ds.io_stats();
-                let expected = &latest[match key {
-                    Value::Int(k) => k as usize,
-                    _ => unreachable!("keys are integers"),
-                }];
-                report.op(match got {
-                    Ok(doc) => check_doc(&key, doc.as_ref(), expected),
-                    Err(e) => Err(format!("GET {key}: {e}")),
-                });
-                if tracer.enabled() {
-                    traced_gets.push(elapsed);
-                    get_pages.push((after.pages_read - before.pages_read) as f64);
-                    get_assembled.push((after.records_assembled - before.records_assembled) as f64);
-                } else {
-                    gets.push(elapsed);
-                    scaled_gets.push(elapsed.mul_f64(scale));
-                }
-            }
-        },
-    );
+        }
+    });
     let io1 = ds.io_stats();
     let ingest_s = median(&ingests.iter().map(|i| i.total_s).collect::<Vec<_>>());
     let base_s = median(&ingests.iter().map(|i| i.base_s).collect::<Vec<_>>());
@@ -1046,13 +1019,18 @@ pub fn olap_cold(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     let ingested = base_docs + update_docs;
     let ingest_rate = ingested as f64 / ingest_s;
     let space_amp = stored as f64 / json as f64;
-    report.detail("setup_s", setup_time.raw_s, "s", None);
+    report.detail(
+        "setup_s",
+        setup_time.median_s,
+        "s",
+        Some(setup_time.repeats),
+    );
     report.detail("ingest_docs_per_s", ingest_rate, "docs/s", Some(ingested));
     report.detail("ingest_base_s", base_s, "s", Some(base_docs));
     report.detail("ingest_s", ingest_s, "s", Some(ingested));
     report.detail("space_amp", space_amp, "ratio", None);
     let classes = [Class::Count, Class::Agg, Class::Filter];
-    let (mut p50s, mut tails, mut scaled_tails) = class_metrics(&benches, &classes, report);
+    let (mut p50s, mut tails) = class_metrics(&benches, &classes, report);
     let get_p50_ms = gets.percentile(50.0);
     let get_tail_ms = gets.percentile(90.0);
     report.detail("get_p50_us", get_p50_ms * 1e3, "us", Some(gets.len()));
@@ -1065,7 +1043,6 @@ pub fn olap_cold(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     );
     p50s.push(get_p50_ms);
     tails.push(get_tail_ms);
-    scaled_tails.push(scaled_gets.percentile(90.0));
 
     report.detail("read_p50_ms", geomean(&p50s), "ms", None);
     report.detail("read_p90_ms", geomean(&tails), "ms", None);
@@ -1097,17 +1074,17 @@ pub fn olap_cold(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
         report.headline("trace.overhead_pct", overhead_pct(&pairs), "%");
         let probe: Vec<Value> = latest.iter().take(PROBE_DOCS).cloned().collect();
         layers::document_probes(&mut tracer, &probe, report);
-        let pages = layers::pages_from_files(&dir, COLD_PAGE);
+        let pages = layers::stored_pages(ds, report);
         layers::encoding_probes(&mut tracer, &pages, report);
         tracer
             .write_jsonl(&cfg.spans_path)
             .map_err(|e| e.to_string())?;
     } else {
-        let write_us = median(&scaled_ingests) * 1e6 / ingested as f64;
+        let factor = cal.factor();
         report.gate(
-            &setup_time,
-            geomean(&scaled_tails),
-            write_us,
+            setup_time.median_s * setup_time.factor,
+            geomean(&tails) * factor,
+            ingest_s * 1e6 / ingested as f64 * factor,
             space_amp,
             &cal,
         );

@@ -5,7 +5,6 @@
 use docmodel::{to_json, to_json_pretty, Value};
 
 use crate::calib::Calibration;
-use crate::SetupTime;
 
 /// One metric value with its unit and, for timings, the sample count.
 #[derive(Debug, Clone)]
@@ -86,22 +85,25 @@ impl Report {
         });
     }
 
-    /// The gated end-to-end metrics of an untraced run. The timings come
-    /// scaled to the reference speed (see `calib`); the kernel's median
-    /// time goes to the details so the scaling can be undone.
+    /// The gated end-to-end metrics of an untraced run, timings scaled to
+    /// the reference speed (see `calib`), with the run's calibration in the
+    /// details so the scaling can be undone.
     pub fn gate(
         &mut self,
-        setup: &SetupTime,
+        setup_s: f64,
         read_p90_ms: f64,
         write_us_per_doc: f64,
         space_amp: f64,
         cal: &Calibration,
     ) {
-        self.headline("setup_s", setup.scaled_s, "s");
+        self.headline("setup_s", setup_s, "s");
         self.headline("read_p90_ms", read_p90_ms, "ms");
         self.headline("write_us_per_doc", write_us_per_doc, "us");
         self.headline("space_amp", space_amp, "ratio");
-        self.detail("calibration_ms", cal.median_ms(), "ms", None);
+        self.detail("calibration_ms", cal.median_ms(), "ms", Some(cal.samples()));
+        let (compute, memory) = cal.parts_ms();
+        self.detail("calibration_compute_ms", compute, "ms", None);
+        self.detail("calibration_memory_ms", memory, "ms", None);
     }
 
     pub fn header(&mut self, key: &str, value: impl Into<Value>) {

@@ -21,9 +21,12 @@ use crate::trace::Tracer;
 use crate::{seed_for, timed_setups, RunConfig};
 
 /// Preloaded documents: past four times the memtables' capacity at two
-/// shards (see the `preload fills the memtables` check).
+/// shards (see the per-shard preload check).
 const SERVE_DOCS: usize = 110_000;
 const MSET_BATCH: usize = 500;
+/// The preload takes a calibration sample every this many `MSET` batches
+/// (about every half second; see `calib`).
+const MSET_BATCHES_PER_SAMPLE: usize = 20;
 /// Share of requests that are GETs; the rest are SETs of existing keys.
 const GET_SHARE: f64 = 0.7;
 /// The rate the latency metrics are reported at, requests per second.
@@ -36,9 +39,9 @@ const SWEEP_STEP: Duration = Duration::from_secs(1);
 const SWEEP_SHARE: f64 = 0.4;
 /// A rate is met when GET p99 stays within this and no backlog is left.
 const GET_LIMIT_MS: f64 = 500.0;
-/// The reference-rate phase runs in this many chunks, calibrating before
-/// each (see `calib`).
-const REFERENCE_CHUNKS: usize = 5;
+/// The reference-rate phase runs in this many chunks, with a calibration
+/// sample before each (see `calib`).
+const REFERENCE_CHUNKS: usize = 10;
 /// A step's requests still unsent this long after its window are abandoned
 /// and counted as backlog.
 const STEP_GRACE: Duration = Duration::from_millis(500);
@@ -71,7 +74,6 @@ struct ServeSetup {
     client: RespClient,
     base: Vec<Value>,
     json: u64,
-    approx: u64,
     sent: Sent,
 }
 
@@ -114,13 +116,14 @@ fn wait_idle(client: &mut RespClient) -> Result<u64, String> {
 }
 
 /// Set up the server: generate, start, preload with `MSET` and wait for
-/// maintenance to drain. Pushes the preload's time, raw and scaled to the
-/// reference speed (see `calib`), to `preload_s`.
+/// maintenance to drain, taking calibration samples along the way. Pushes
+/// the preload's time, in seconds and without the samples' time, to
+/// `preload_s`.
 fn serve_setup(
     cfg: &RunConfig,
     dir: &Path,
     cal: &mut Calibration,
-    preload_s: &mut Vec<(f64, f64)>,
+    preload_s: &mut Vec<f64>,
 ) -> Result<ServeSetup, String> {
     let spec = DatasetSpec {
         kind: DatasetKind::Tweet2,
@@ -131,7 +134,6 @@ fn serve_setup(
     let texts: Vec<String> = base.iter().map(docmodel::to_json).collect();
     let keys: Vec<String> = (0..SERVE_DOCS).map(|k| k.to_string()).collect();
     let json = texts.iter().map(|t| t.len() as u64).sum();
-    let approx = base.iter().map(|d| d.approx_size() as u64).sum();
     let _ = std::fs::remove_dir_all(dir);
     let config = ServerConfig {
         layout: Layout::Amax,
@@ -144,14 +146,18 @@ fn serve_setup(
     let handle = Server::start(config).map_err(io_err)?;
     let mut client = RespClient::connect(handle.addr()).map_err(io_err)?;
     let mut sent = Sent::default();
-    let scale = cal.scale();
     let start = Instant::now();
-    for chunk in keys
+    let spent = cal.spent();
+    for (batch, chunk) in keys
         .iter()
         .zip(&texts)
         .collect::<Vec<_>>()
         .chunks(MSET_BATCH)
+        .enumerate()
     {
+        if batch % MSET_BATCHES_PER_SAMPLE == MSET_BATCHES_PER_SAMPLE - 1 {
+            cal.sample();
+        }
         let pairs: Vec<(&str, &str)> = chunk
             .iter()
             .map(|(k, t)| (k.as_str(), t.as_str()))
@@ -163,14 +169,12 @@ fn serve_setup(
         }
     }
     wait_idle(&mut client)?;
-    let seconds = start.elapsed().as_secs_f64();
-    preload_s.push((seconds, seconds * scale));
+    preload_s.push((start.elapsed() - (cal.spent() - spent)).as_secs_f64());
     Ok(ServeSetup {
         handle,
         client,
         base,
         json,
-        approx,
         sent,
     })
 }
@@ -491,19 +495,14 @@ fn stored_bytes(client: &mut RespClient) -> Result<u64, String> {
 pub fn serve_mixed(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     let dir: PathBuf = cfg.work_dir.join("serve");
     let mut cal = Calibration::new();
-    let mut preload_cal = Calibration::new();
     let mut preloads = Vec::new();
-    let (setup_time, setup) = timed_setups(&mut cal, || {
-        serve_setup(cfg, &dir, &mut preload_cal, &mut preloads)
-    })?;
-    let preload_raw = median(&preloads.iter().map(|p| p.0).collect::<Vec<_>>());
-    let preload_scaled = median(&preloads.iter().map(|p| p.1).collect::<Vec<_>>());
+    let (setup_time, setup) = timed_setups(|cal| serve_setup(cfg, &dir, cal, &mut preloads))?;
+    let preload_s = median(&preloads);
     let ServeSetup {
         handle,
         mut client,
         base,
         json,
-        approx,
         mut sent,
     } = setup;
     let lanes = shards();
@@ -511,17 +510,15 @@ pub fn serve_mixed(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     let mut tracer = Tracer::new(false, epoch);
 
     // Self-check: the preload went through the memtables into flushed
-    // components on every shard.
+    // components. The wire only has the merged flush count, so this checks
+    // the total; the per-shard check (every shard was sent at least four
+    // memtables' worth, so every shard flushed at least twice once
+    // maintenance drained) runs on the reopened dataset after the run.
     let memtable = DatasetOptions::new(Layout::Amax).memtable_budget as u64;
     let counters = ServerCounters::fetch(&mut client)?;
     let flushes = counters.counter("flush.count");
     report.check(
-        "serve-mixed preload is at least 4x the memtables' capacity",
-        approx >= 4 * memtable * lanes as u64,
-        format!("{approx} bytes preloaded, {lanes} memtables of {memtable} bytes"),
-    );
-    report.check(
-        "serve-mixed flushed at least 2 components per shard before measuring",
+        "serve-mixed flushed at least 2 components per shard before measuring (in total)",
         flushes >= 2.0 * lanes as f64,
         format!("{flushes} flushes over {lanes} shards"),
     );
@@ -557,6 +554,7 @@ pub fn serve_mixed(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
         if start.elapsed() + SWEEP_STEP > sweep_budget {
             break;
         }
+        cal.sample();
         let step = run_step(
             &mut clients,
             &mut owned,
@@ -583,7 +581,6 @@ pub fn serve_mixed(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
         .saturating_sub(start.elapsed())
         .max(Duration::from_secs(2));
     let ref_seed = seed_for(cfg.seed, "serve-reference");
-    let mut scaled_gets = Samples::default();
     let reference = if cfg.trace {
         // Untraced first half, traced second half, for the overhead.
         let half = remaining / 2;
@@ -635,11 +632,11 @@ pub fn serve_mixed(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
         );
         plain
     } else {
-        // In chunks with a calibration before each, taken while the server
-        // is idle between them.
+        // In chunks with a calibration sample before each, taken while the
+        // server is idle between them.
         let mut all = Step::empty(REFERENCE_RATE);
         for chunk in 0..REFERENCE_CHUNKS {
-            let scale = cal.scale();
+            cal.sample();
             let step = run_step(
                 &mut clients,
                 &mut owned,
@@ -652,7 +649,6 @@ pub fn serve_mixed(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
                 &mut sent,
                 &mut tracer,
             );
-            scaled_gets.extend(&step.gets.scaled(scale));
             all.absorb(step);
         }
         all
@@ -700,10 +696,15 @@ pub fn serve_mixed(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     report.header("connections", Value::Int(lanes as i64));
     report.header("records", Value::from(format!("tweet_2={SERVE_DOCS}")));
 
-    report.detail("setup_s", setup_time.raw_s, "s", None);
+    report.detail(
+        "setup_s",
+        setup_time.median_s,
+        "s",
+        Some(setup_time.repeats),
+    );
     report.detail(
         "preload_docs_per_s",
-        SERVE_DOCS as f64 / preload_raw,
+        SERVE_DOCS as f64 / preload_s,
         "docs/s",
         Some(SERVE_DOCS),
     );
@@ -816,13 +817,31 @@ pub fn serve_mixed(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
     drop(client);
     handle.join();
 
+    let mut store = Datastore::new();
+    store.reopen_dataset("tweets", &dir).map_err(io_err)?;
+    let ds = store.dataset("tweets").map_err(io_err)?;
+
+    // Self-check, per shard: the preload sent every shard at least four
+    // times its memtable's capacity. A memtable seals once it reaches its
+    // budget, and the preload waited for every sealed one to flush, so each
+    // shard flushed at least twice before the measured phase.
+    let mut routed = vec![0u64; lanes];
+    for (key, doc) in base.iter().enumerate() {
+        routed[ds.shard_index_for(&Value::Int(key as i64))] += doc.approx_size() as u64;
+    }
+    for (shard, (bytes, lsm)) in routed.iter().zip(ds.shards()).enumerate() {
+        let budget = lsm.config().memtable_budget as u64;
+        report.check(
+            &format!("serve-mixed preload is at least 4x shard {shard}'s memtable capacity"),
+            *bytes >= 4 * budget,
+            format!("{bytes} bytes preloaded into a memtable of {budget} bytes"),
+        );
+    }
+
     if cfg.trace {
-        // The same keys in process, on the dataset reopened from its
-        // directory: evenly spread keys for the storage share of a GET, the
-        // wire probe's keys for the server's overhead.
-        let mut store = Datastore::new();
-        store.reopen_dataset("tweets", &dir).map_err(io_err)?;
-        let ds = store.dataset("tweets").map_err(io_err)?;
+        // The same keys in process, on the reopened dataset: evenly spread
+        // keys for the storage share of a GET, the wire probe's keys for the
+        // server's overhead.
         let mut spread = Spread::new(0.5, GOLDEN_STEP);
         let probe_keys: Vec<i64> = (0..STORAGE_PROBE_KEYS)
             .map(|_| spread.below(SERVE_DOCS as u64) as i64)
@@ -833,18 +852,19 @@ pub fn serve_mixed(cfg: &RunConfig, report: &mut Report) -> Result<(), String> {
         report.headline("storage.records_assembled_per_get", assembled, "count");
         report.headline("storage.pages_read_per_get", pages, "count");
         report.headline("server.overhead_us", wire_us - local_us, "us");
+        let pages = layers::stored_pages(ds, report);
         drop(store);
         let probe: Vec<Value> = base.iter().take(PROBE_DOCS).cloned().collect();
         layers::document_probes(&mut tracer, &probe, report);
-        let page_size = DatasetOptions::new(Layout::Amax).page_size;
-        let pages = layers::pages_from_files(&dir, page_size);
         layers::encoding_probes(&mut tracer, &pages, report);
         tracer.write_jsonl(&cfg.spans_path).map_err(io_err)?;
     } else {
+        drop(store);
+        // The preload runs inside the set-ups, so it is scaled as they are.
         report.gate(
-            &setup_time,
-            scaled_gets.percentile(90.0),
-            preload_scaled * 1e6 / SERVE_DOCS as f64,
+            setup_time.median_s * setup_time.factor,
+            reference.gets.percentile(90.0) * cal.factor(),
+            preload_s * 1e6 / SERVE_DOCS as f64 * setup_time.factor,
             space_amp,
             &cal,
         );

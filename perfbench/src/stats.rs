@@ -22,13 +22,6 @@ impl Samples {
         self.values_ms.extend_from_slice(&other.values_ms);
     }
 
-    /// Every sample multiplied by `factor`.
-    pub fn scaled(&self, factor: f64) -> Samples {
-        Samples {
-            values_ms: self.values_ms.iter().map(|v| v * factor).collect(),
-        }
-    }
-
     /// Nearest-rank percentile `p` (0 < p <= 100), in milliseconds.
     pub fn percentile(&self, p: f64) -> f64 {
         percentile(&self.values_ms, p)
