@@ -11,10 +11,30 @@
 //! against the paper's numbers. `--smoke` caps the scale at 0.05 so CI can
 //! exercise a sweep end-to-end in seconds. The `fig15` selection
 //! additionally runs the scan-vs-index crossover sweep (ForceIndex vs
-//! ForceScan vs the cost-based Auto) and writes it to `BENCH_fig15.json`.
+//! ForceScan vs the cost-based Auto).
+//!
+//! The `fig15`, `compaction`, `cache`, `pushdown` and `server` selections
+//! also write their measurements to `BENCH_<name>.json`: at the repo root
+//! (the committed results) on a full run, under `target/bench-smoke/` on a
+//! `--smoke` run, so smoke-scale numbers never overwrite committed ones.
+
+use std::path::Path;
 
 use bench::*;
 use datagen::DatasetKind;
+
+/// Write one sweep's measurements to `BENCH_<name>.json` — at the repo root,
+/// or under `target/bench-smoke/` for a `--smoke` run.
+fn write_bench_json(smoke: bool, name: &str, figure: &str, scale: f64, rows: &[Measurement]) {
+    let dir = Path::new(if smoke { "target/bench-smoke" } else { "" });
+    let out = dir.join(format!("BENCH_{name}.json"));
+    let written = std::fs::create_dir_all(dir)
+        .and_then(|()| write_measurements_json(&out, figure, scale, rows));
+    match written {
+        Ok(()) => println!("\nwrote {}", out.display()),
+        Err(e) => eprintln!("\ncould not write {}: {e}", out.display()),
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -94,11 +114,7 @@ fn main() {
             "Figure 15 crossover: index vs scan vs cost-based Auto (tweet_2)",
             &crossover,
         );
-        let out = std::path::Path::new("BENCH_fig15.json");
-        match write_measurements_json(out, "fig15_crossover", scale, &crossover) {
-            Ok(()) => println!("\nwrote {}", out.display()),
-            Err(e) => eprintln!("\ncould not write {}: {e}", out.display()),
-        }
+        write_bench_json(smoke, "fig15", "fig15_crossover", scale, &crossover);
     }
     if wanted("fig16") {
         print_matrix(
@@ -122,11 +138,7 @@ fn main() {
             "Compaction: tiered vs leveled vs lazy-leveled, amp + GC packing (tweet_1)",
             &rows,
         );
-        let out = std::path::Path::new("BENCH_compaction.json");
-        match write_measurements_json(out, "compaction_strategies", scale, &rows) {
-            Ok(()) => println!("\nwrote {}", out.display()),
-            Err(e) => eprintln!("\ncould not write {}: {e}", out.display()),
-        }
+        write_bench_json(smoke, "compaction", "compaction_strategies", scale, &rows);
     }
     if wanted("cache") {
         let rows = run_cache_comparison(scale);
@@ -134,11 +146,7 @@ fn main() {
             "Decoded-leaf cache: cold vs warm latency, hit rate, budget sweep (tweet_2)",
             &rows,
         );
-        let out = std::path::Path::new("BENCH_cache.json");
-        match write_measurements_json(out, "leaf_cache", scale, &rows) {
-            Ok(()) => println!("\nwrote {}", out.display()),
-            Err(e) => eprintln!("\ncould not write {}: {e}", out.display()),
-        }
+        write_bench_json(smoke, "cache", "leaf_cache", scale, &rows);
     }
     if wanted("pushdown") {
         let rows = run_pushdown_comparison(scale);
@@ -146,11 +154,7 @@ fn main() {
             "Filter pushdown: selectivity x layout, pushed vs unpushed scans",
             &rows,
         );
-        let out = std::path::Path::new("BENCH_pushdown.json");
-        match write_measurements_json(out, "pushdown_selectivity", scale, &rows) {
-            Ok(()) => println!("\nwrote {}", out.display()),
-            Err(e) => eprintln!("\ncould not write {}: {e}", out.display()),
-        }
+        write_bench_json(smoke, "pushdown", "pushdown_selectivity", scale, &rows);
     }
     if wanted("streaming") {
         print_matrix(
@@ -176,11 +180,7 @@ fn main() {
             "Server: RESP front-end load generator, connections x pipeline depth",
             &rows,
         );
-        let out = std::path::Path::new("BENCH_server.json");
-        match write_measurements_json(out, "server_load", scale, &rows) {
-            Ok(()) => println!("\nwrote {}", out.display()),
-            Err(e) => eprintln!("\ncould not write {}: {e}", out.display()),
-        }
+        write_bench_json(smoke, "server", "server_load", scale, &rows);
     }
     if wanted("durability") {
         let records = (3_000_f64 * scale).max(200.0) as usize;

@@ -304,8 +304,7 @@ impl DatasetConfig {
                     l0_threshold: persisted.compaction_l0_threshold as usize,
                     ratio: persisted.compaction_ratio,
                 },
-                // Kind 0 and anything a future format might add: tiered
-                // (every pre-v3 manifest was written under this policy).
+                // Kind 0 and any unknown kind: tiered.
                 _ => CompactionSpec::Tiered {
                     size_ratio: persisted.policy_size_ratio,
                     max_components: persisted.policy_max_components as usize,

@@ -347,10 +347,7 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
         stats_before = snapshot
             .components()
             .iter()
-            .map(|c| {
-                let stats = c.stats().expect("freshly written components carry stats");
-                (c.meta().id, (**stats).clone())
-            })
+            .map(|c| (c.meta().id, (**c.stats()).clone()))
             .collect::<Vec<_>>();
         // Every component's stats must actually see the indexed column.
         for (id, stats) in &stats_before {
@@ -370,10 +367,7 @@ fn component_stats_survive_restart_and_planner_choices_are_identical() {
     let stats_after: Vec<_> = snapshot
         .components()
         .iter()
-        .map(|c| {
-            let stats = c.stats().expect("stats must survive the manifest round-trip");
-            (c.meta().id, (**stats).clone())
-        })
+        .map(|c| (c.meta().id, (**c.stats()).clone()))
         .collect();
     assert_eq!(stats_before, stats_after, "per-component stats changed across restart");
     assert_eq!(
@@ -435,7 +429,7 @@ fn aborted_flush_between_component_write_and_manifest_commit_leaves_no_stale_sta
     assert!(ds.component_count() >= 1);
     let snapshot = ds.snapshot();
     for c in snapshot.components() {
-        assert!(c.stats().is_some(), "a committed flush publishes stats");
+        assert!(c.stats().live_records > 0, "a committed flush publishes stats");
     }
     assert_eq!(
         engine

@@ -14,28 +14,28 @@
 //! the previous manifest intact (new component pages become unreferenced
 //! orphans in the page file — never corruption, and the orphan sweep at the
 //! next open frees them); a crash after the rename leaves the new manifest
-//! fully in place. The version counter
-//! increases with every commit, and the body is CRC-guarded so a damaged
-//! manifest is rejected rather than half-loaded.
+//! fully in place. The directory is then synced so the rename itself is
+//! durable; if that fails the commit returns the error, so the caller keeps
+//! the WAL the new manifest covers. The version counter increases with
+//! every commit, and the body is CRC-guarded so a damaged manifest is
+//! rejected rather than half-loaded.
 //!
-//! ## Format versioning
+//! ## Format
 //!
-//! The magic bytes carry the format generation. `LSMMAN05` (current)
-//! appends per-leaf column statistics (zone maps) to every leaf descriptor,
-//! so filter pushdown can skip whole leaves before any page is read.
-//! `LSMMAN04` added the memory-budget knob behind the shared decoded-leaf
-//! cache, so a reopened dataset keeps the caching behaviour it was created
-//! with. `LSMMAN03` added the compaction-strategy selection and its knobs;
-//! `LSMMAN02` appended the per-component column statistics
-//! ([`storage::ComponentStats`]) that the query planner's zone maps and
-//! cost model consume; `LSMMAN01` manifests predate statistics. All older
-//! formats are still read: pre-v5 leaves reopen without zone maps (those
-//! leaves simply aren't skippable until the next flush/merge rewrites
-//! them), pre-v4 configs decode with no memory budget, v1/v2 configs
-//! additionally decode with the default tiering strategy, and v1
-//! components reopen with no statistics (which disables zone-map pruning
-//! for them and makes the planner fall back to conservative estimates).
-//! Commits always write the current format.
+//! One format, named by the magic bytes `LSMMAN05`: the magic, a CRC-32 of
+//! the body, then the body — the configuration, the next component id, the
+//! schema, and every live component with its leaves. Each component and
+//! each leaf carries a statistics block ([`storage::ComponentStats`]: the
+//! planner's zone maps and cardinalities, and the per-leaf zone maps filter
+//! pushdown skips leaves with). The block opens with a presence byte that
+//! is always `1`; the reader rejects any other value, and rejects a body
+//! with bytes left over after the last component, so a manifest that
+//! decodes always yields complete statistics.
+//!
+//! A change to the layout gets a new magic, and the new reader *replaces*
+//! this one: no reader for an older format is kept. Dataset directories
+//! written under an older magic fail to open with "manifest magic
+//! mismatch".
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -51,26 +51,8 @@ use storage::{LayoutKind, PageId, RowFormat};
 
 use crate::{PersistError, Result};
 
-/// Magic bytes opening every current-format manifest file.
+/// Magic bytes opening every manifest file.
 const MAGIC: &[u8; 8] = b"LSMMAN05";
-/// Previous format: no per-leaf statistics. Still readable.
-const MAGIC_V4: &[u8; 8] = b"LSMMAN04";
-/// Before that: additionally, no memory-budget field. Still readable.
-const MAGIC_V3: &[u8; 8] = b"LSMMAN03";
-/// Before that: additionally, no compaction-strategy fields. Still readable.
-const MAGIC_V2: &[u8; 8] = b"LSMMAN02";
-/// Oldest format: additionally, no per-component statistics. Still readable.
-const MAGIC_V1: &[u8; 8] = b"LSMMAN01";
-
-/// Decoded manifest format generation (from the magic bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Format {
-    V1,
-    V2,
-    V3,
-    V4,
-    V5,
-}
 
 /// The durable subset of the dataset configuration. Enough to reconstruct a
 /// working `DatasetConfig` on [`reopen`](crate::DurableStore), so a dataset
@@ -104,7 +86,7 @@ pub struct PersistedConfig {
     /// Tiering policy: max mergeable components.
     pub policy_max_components: u64,
     /// Compaction strategy selector: 0 = tiered, 1 = leveled,
-    /// 2 = lazy-leveled (format v3; older manifests decode as 0).
+    /// 2 = lazy-leveled.
     pub compaction_kind: u8,
     /// Leveled/lazy-leveled: target run size in bytes.
     pub compaction_target_size: u64,
@@ -113,8 +95,7 @@ pub struct PersistedConfig {
     /// Leveled/lazy-leveled: size ratio between adjacent runs.
     pub compaction_ratio: f64,
     /// Memory budget in bytes for this dataset's share of memtables, sealed
-    /// queue, page cache, and decoded-leaf cache (format v4; 0 = no budget
-    /// configured, older manifests decode as 0).
+    /// queue, page cache, and decoded-leaf cache (0 = no budget configured).
     pub memory_budget: u64,
 }
 
@@ -147,17 +128,10 @@ fn write_bool(out: &mut Vec<u8>, v: bool) {
 }
 
 fn read_bool(buf: &[u8], pos: &mut usize) -> Result<bool> {
-    let b = *buf
-        .get(*pos)
-        .ok_or_else(|| PersistError::new("truncated manifest"))?;
-    *pos += 1;
-    Ok(b != 0)
+    Ok(read_u8(buf, pos)? != 0)
 }
 
-/// Encode a manifest body in the given format generation. Production
-/// commits always use [`Format::V5`]; the older formats exist so the
-/// compatibility tests can produce genuine old-format bytes.
-fn encode_body(data: &ManifestData, format: Format) -> Vec<u8> {
+fn encode_body(data: &ManifestData) -> Vec<u8> {
     let mut out = Vec::new();
     varint::write_u64(&mut out, data.version);
 
@@ -181,15 +155,11 @@ fn encode_body(data: &ManifestData, format: Format) -> Vec<u8> {
     plain::write_f64(&mut out, c.amax_empty_page_tolerance);
     plain::write_f64(&mut out, c.policy_size_ratio);
     varint::write_u64(&mut out, c.policy_max_components);
-    if format >= Format::V3 {
-        out.push(c.compaction_kind);
-        varint::write_u64(&mut out, c.compaction_target_size);
-        varint::write_u64(&mut out, c.compaction_l0_threshold);
-        plain::write_f64(&mut out, c.compaction_ratio);
-    }
-    if format >= Format::V4 {
-        varint::write_u64(&mut out, c.memory_budget);
-    }
+    out.push(c.compaction_kind);
+    varint::write_u64(&mut out, c.compaction_target_size);
+    varint::write_u64(&mut out, c.compaction_l0_threshold);
+    plain::write_f64(&mut out, c.compaction_ratio);
+    varint::write_u64(&mut out, c.memory_budget);
 
     varint::write_u64(&mut out, data.next_component_id);
     serial::write_schema(&data.schema, &mut out);
@@ -214,25 +184,21 @@ fn encode_body(data: &ManifestData, format: Format) -> Vec<u8> {
             write_value(&mut out, &leaf.min_key);
             write_value(&mut out, &leaf.max_key);
             varint::write_u64(&mut out, leaf.record_count as u64);
-            if format >= Format::V5 {
-                write_stats(&mut out, leaf.stats.as_ref());
-            }
+            write_stats(&mut out, &leaf.stats);
         }
-        if format >= Format::V2 {
-            write_stats(&mut out, comp.stats.as_ref());
-        }
+        write_stats(&mut out, &comp.stats);
     }
     out
 }
 
-/// Serialize one statistics block — per component (format v2) and, with the
-/// same encoding, per leaf (format v5 zone maps).
-fn write_stats(out: &mut Vec<u8>, stats: Option<&ComponentStats>) {
-    let Some(stats) = stats else {
-        write_bool(out, false);
-        return;
-    };
-    write_bool(out, true);
+/// Presence byte opening every statistics block. Always written; any other
+/// value marks a corrupt manifest.
+const STATS_PRESENT: u8 = 1;
+
+/// Serialize one statistics block (per component, and per leaf as its zone
+/// map).
+fn write_stats(out: &mut Vec<u8>, stats: &ComponentStats) {
+    out.push(STATS_PRESENT);
     varint::write_u64(out, stats.live_records);
     varint::write_u64(out, stats.columns.len() as u64);
     for (path, col) in &stats.columns {
@@ -251,9 +217,11 @@ fn write_stats(out: &mut Vec<u8>, stats: Option<&ComponentStats>) {
 }
 
 /// Deserialize one statistics block (per component or per leaf).
-fn read_stats(buf: &[u8], pos: &mut usize) -> Result<Option<ComponentStats>> {
-    if !read_bool(buf, pos)? {
-        return Ok(None);
+fn read_stats(buf: &[u8], pos: &mut usize) -> Result<ComponentStats> {
+    if read_u8(buf, pos)? != STATS_PRESENT {
+        return Err(PersistError::new(
+            "manifest statistics block without statistics — corrupt manifest",
+        ));
     }
     let live_records = varint::read_u64(buf, pos)?;
     let column_count = varint::read_u64(buf, pos)? as usize;
@@ -269,10 +237,10 @@ fn read_stats(buf: &[u8], pos: &mut usize) -> Result<Option<ComponentStats>> {
         };
         columns.insert(path, ColumnStats { rows, values, min, max });
     }
-    Ok(Some(ComponentStats { live_records, columns }))
+    Ok(ComponentStats { live_records, columns })
 }
 
-fn decode_body(buf: &[u8], format: Format) -> Result<ManifestData> {
+fn decode_body(buf: &[u8]) -> Result<ManifestData> {
     let pos = &mut 0usize;
     let version = varint::read_u64(buf, pos)?;
 
@@ -293,25 +261,11 @@ fn decode_body(buf: &[u8], format: Format) -> Result<ManifestData> {
     let amax_empty_page_tolerance = plain::read_f64(buf, pos)?;
     let policy_size_ratio = plain::read_f64(buf, pos)?;
     let policy_max_components = varint::read_u64(buf, pos)?;
-    // Compaction-strategy fields arrived in v3; older manifests were all
-    // written under the fixed tiering policy.
-    let (compaction_kind, compaction_target_size, compaction_l0_threshold, compaction_ratio) =
-        if format >= Format::V3 {
-            (
-                read_u8(buf, pos)?,
-                varint::read_u64(buf, pos)?,
-                varint::read_u64(buf, pos)?,
-                plain::read_f64(buf, pos)?,
-            )
-        } else {
-            (0, 4 << 20, 4, 0.5)
-        };
-    // The memory budget arrived in v4; older manifests ran unbudgeted.
-    let memory_budget = if format >= Format::V4 {
-        varint::read_u64(buf, pos)?
-    } else {
-        0
-    };
+    let compaction_kind = read_u8(buf, pos)?;
+    let compaction_target_size = varint::read_u64(buf, pos)?;
+    let compaction_l0_threshold = varint::read_u64(buf, pos)?;
+    let compaction_ratio = plain::read_f64(buf, pos)?;
+    let memory_budget = varint::read_u64(buf, pos)?;
 
     let next_component_id = varint::read_u64(buf, pos)?;
     let schema = serial::read_schema(buf, pos)?;
@@ -340,27 +294,15 @@ fn decode_body(buf: &[u8], format: Format) -> Result<ManifestData> {
             let min_key = read_value(buf, pos)?;
             let max_key = read_value(buf, pos)?;
             let record_count = varint::read_u64(buf, pos)? as usize;
-            // Per-leaf zone maps arrived in v5; older leaves reopen without
-            // them, so they just aren't skippable until rewritten.
-            let stats = if format >= Format::V5 {
-                read_stats(buf, pos)?
-            } else {
-                None
-            };
             leaves.push(LeafDescriptor {
                 page,
                 data_pages,
                 min_key,
                 max_key,
                 record_count,
-                stats,
+                stats: read_stats(buf, pos)?,
             });
         }
-        let stats = if format >= Format::V2 {
-            read_stats(buf, pos)?
-        } else {
-            None
-        };
         components.push(ComponentDescriptor {
             id,
             layout,
@@ -368,8 +310,16 @@ fn decode_body(buf: &[u8], format: Format) -> Result<ManifestData> {
             stored_bytes,
             pages,
             leaves,
-            stats,
+            stats: read_stats(buf, pos)?,
         });
+    }
+    // The writer emits nothing after the last component: leftover bytes
+    // mean writer and reader disagree on the layout.
+    if *pos != buf.len() {
+        return Err(PersistError::new(format!(
+            "manifest has {} trailing bytes — corrupt manifest",
+            buf.len() - *pos
+        )));
     }
 
     Ok(ManifestData {
@@ -458,14 +408,9 @@ impl ManifestStore {
         if bytes.len() < MAGIC.len() + 4 {
             return Err(PersistError::new("manifest too short"));
         }
-        let format = match &bytes[..MAGIC.len()] {
-            m if m == MAGIC => Format::V5,
-            m if m == MAGIC_V4 => Format::V4,
-            m if m == MAGIC_V3 => Format::V3,
-            m if m == MAGIC_V2 => Format::V2,
-            m if m == MAGIC_V1 => Format::V1,
-            _ => return Err(PersistError::new("manifest magic mismatch")),
-        };
+        if &bytes[..MAGIC.len()] != MAGIC {
+            return Err(PersistError::new("manifest magic mismatch"));
+        }
         let crc_end = MAGIC.len() + 4;
         let expected_crc = u32::from_le_bytes(bytes[MAGIC.len()..crc_end].try_into().unwrap());
         let body = &bytes[crc_end..];
@@ -474,7 +419,7 @@ impl ManifestStore {
                 "manifest failed its CRC check — corrupt manifest",
             ));
         }
-        decode_body(body, format).map(Some)
+        decode_body(body).map(Some)
     }
 
     /// The version of the most recently loaded or committed manifest.
@@ -483,11 +428,13 @@ impl ManifestStore {
     }
 
     /// Atomically commit `data` as the next manifest version. On success the
-    /// new manifest is durable; on failure (or crash) the previous manifest
-    /// is still intact.
+    /// new manifest is durable. On a failure before the rename (or a crash)
+    /// the previous manifest is still intact; if syncing the directory after
+    /// the rename fails, the new manifest is in place but may not survive a
+    /// crash, so the caller must not yet drop the WAL it covers.
     pub fn commit(&mut self, mut data: ManifestData) -> Result<u64> {
         data.version = self.version + 1;
-        let body = encode_body(&data, Format::V5);
+        let body = encode_body(&data);
         let mut bytes = Vec::with_capacity(MAGIC.len() + 4 + body.len());
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -506,11 +453,12 @@ impl ManifestStore {
         drop(tmp);
         std::fs::rename(&self.tmp_path, &self.path)
             .map_err(|e| PersistError::new(format!("rename manifest into place: {e}")))?;
-        // Make the rename itself durable.
-        if let Ok(dir) = File::open(&self.dir) {
-            let _ = dir.sync_all();
-        }
+        // The rename is visible now: later commits must number past it even
+        // if making it durable fails below.
         self.version = data.version;
+        File::open(&self.dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| PersistError::new(format!("sync manifest directory: {e}")))?;
         Ok(self.version)
     }
 }
@@ -570,9 +518,9 @@ mod tests {
                     min_key: Value::Int(0),
                     max_key: Value::Int(122),
                     record_count: 123,
-                    stats: Some(sample_stats()),
+                    stats: sample_stats(),
                 }],
-                stats: Some(sample_stats()),
+                stats: sample_stats(),
             }],
         }
     }
@@ -620,6 +568,8 @@ mod tests {
         let dir = temp_dir("stats-roundtrip");
         let (mut store, _) = ManifestStore::open(&dir).unwrap();
         let mut data = sample_data();
+        // An anti-matter-only component: its statistics have no columns,
+        // and none may appear on the way back.
         data.components.push(ComponentDescriptor {
             id: 4,
             layout: LayoutKind::Vb,
@@ -627,102 +577,13 @@ mod tests {
             stored_bytes: 99,
             pages: vec![7],
             leaves: Vec::new(),
-            stats: None, // e.g. carried over from a pre-stats manifest
+            stats: ComponentStats::default(),
         });
         store.commit(data.clone()).unwrap();
         let (_, loaded) = ManifestStore::open(&dir).unwrap();
         let loaded = loaded.unwrap();
-        assert_eq!(loaded.components[0].stats, Some(sample_stats()));
-        assert_eq!(loaded.components[1].stats, None);
-    }
-
-    /// The compaction fields an old-format (pre-v3) manifest decodes to: the
-    /// default tiering strategy (kind 0) with the leveled knobs at their
-    /// defaults — and, as for every pre-v4 format, no memory budget.
-    fn with_default_compaction(mut config: PersistedConfig) -> PersistedConfig {
-        config.compaction_kind = 0;
-        config.compaction_target_size = 4 << 20;
-        config.compaction_l0_threshold = 4;
-        config.compaction_ratio = 0.5;
-        config.memory_budget = 0;
-        config
-    }
-
-    fn write_old_format(dir: &Path, magic: &[u8; 8], data: &ManifestData, format: Format) {
-        let body = super::encode_body(data, format);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(magic);
-        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-        bytes.extend_from_slice(&body);
-        std::fs::write(dir.join(ManifestStore::FILE_NAME), &bytes).unwrap();
-    }
-
-    #[test]
-    fn v1_manifests_without_stats_are_still_readable() {
-        // Re-encode a manifest in the oldest format: v1 magic, no stats
-        // blocks, no compaction fields.
-        let dir = temp_dir("v1-compat");
-        let mut data = sample_data();
-        data.version = 1;
-        write_old_format(&dir, b"LSMMAN01", &data, Format::V1);
-
-        let (store, loaded) = ManifestStore::open(&dir).unwrap();
-        let loaded = loaded.unwrap();
-        assert_eq!(store.version(), 1);
-        assert_eq!(loaded.components.len(), 1);
-        assert_eq!(loaded.components[0].stats, None, "v1 has no stats");
-        assert_eq!(loaded.config, with_default_compaction(data.config));
-    }
-
-    #[test]
-    fn v2_manifests_without_compaction_fields_are_still_readable() {
-        // v2 magic: stats blocks present, no compaction-strategy fields —
-        // the config decodes with the default tiering strategy.
-        let dir = temp_dir("v2-compat");
-        let mut data = sample_data();
-        data.version = 1;
-        write_old_format(&dir, b"LSMMAN02", &data, Format::V2);
-
-        let (store, loaded) = ManifestStore::open(&dir).unwrap();
-        let loaded = loaded.unwrap();
-        assert_eq!(store.version(), 1);
-        assert_eq!(loaded.components[0].stats, Some(sample_stats()), "v2 keeps stats");
-        assert_eq!(loaded.config, with_default_compaction(data.config));
-    }
-
-    #[test]
-    fn v3_manifests_without_memory_budget_are_still_readable() {
-        // v3 magic: compaction fields present, no memory budget — the config
-        // decodes unbudgeted (0) with everything else intact.
-        let dir = temp_dir("v3-compat");
-        let mut data = sample_data();
-        data.version = 1;
-        write_old_format(&dir, b"LSMMAN03", &data, Format::V3);
-
-        let (store, loaded) = ManifestStore::open(&dir).unwrap();
-        let loaded = loaded.unwrap();
-        assert_eq!(store.version(), 1);
-        assert_eq!(loaded.components[0].stats, Some(sample_stats()), "v3 keeps stats");
-        let mut expected = data.config.clone();
-        expected.memory_budget = 0;
-        assert_eq!(loaded.config, expected, "v3 keeps compaction, loses budget");
-    }
-
-    #[test]
-    fn v4_manifests_without_leaf_stats_are_still_readable() {
-        // v4 magic: everything but the per-leaf zone maps — leaves reopen
-        // with no stats, so pushdown simply can't skip them.
-        let dir = temp_dir("v4-compat");
-        let mut data = sample_data();
-        data.version = 1;
-        write_old_format(&dir, b"LSMMAN04", &data, Format::V4);
-
-        let (store, loaded) = ManifestStore::open(&dir).unwrap();
-        let loaded = loaded.unwrap();
-        assert_eq!(store.version(), 1);
-        assert_eq!(loaded.config, data.config, "v4 keeps the whole config");
-        assert_eq!(loaded.components[0].stats, Some(sample_stats()), "v4 keeps component stats");
-        assert_eq!(loaded.components[0].leaves[0].stats, None, "v4 has no leaf zone maps");
+        assert_eq!(loaded.components[0].stats, sample_stats());
+        assert_eq!(loaded.components[1].stats, ComponentStats::default());
     }
 
     #[test]
@@ -730,21 +591,79 @@ mod tests {
         let dir = temp_dir("leaf-stats-roundtrip");
         let (mut store, _) = ManifestStore::open(&dir).unwrap();
         let mut data = sample_data();
-        // A second leaf without zone maps (e.g. reopened from a pre-v5
-        // manifest, then re-committed) must stay without them.
+        // A second, anti-matter-only leaf: an empty zone map stays empty.
         data.components[0].leaves.push(LeafDescriptor {
             page: 9,
             data_pages: vec![10],
             min_key: Value::Int(123),
             max_key: Value::Int(200),
             record_count: 78,
-            stats: None,
+            stats: ComponentStats::default(),
         });
         store.commit(data.clone()).unwrap();
         let (_, loaded) = ManifestStore::open(&dir).unwrap();
         let leaves = &loaded.unwrap().components[0].leaves;
-        assert_eq!(leaves[0].stats, Some(sample_stats()));
-        assert_eq!(leaves[1].stats, None);
+        assert_eq!(leaves[0].stats, sample_stats());
+        assert_eq!(leaves[1].stats, ComponentStats::default());
+    }
+
+    /// The committed bytes of `sample_data()`. Pins the on-disk format: a
+    /// layout change must come with a new magic (see the module docs), not
+    /// with a silent edit here.
+    const SAMPLE_MANIFEST_HEX: &str = concat!(
+        "4c534d4d414e30356cc07e4f0106747765657473030269648080408020800201",
+        "010974696d657374616d700198759a9999999999c93f333333333333f33f0501",
+        "8080800403000000000000e83f80808010070102696408000302696401047573",
+        "65720604746167730403010001046e616d650303030101050301020264020307",
+        "03030103037bd7230400010205010003010205030003f4017b017b0207746167",
+        "735b2a5d1128000974696d657374616d707b7b0103d00f03c411017b02077461",
+        "67735b2a5d1128000974696d657374616d707b7b0103d00f03c411",
+    );
+
+    #[test]
+    fn committed_bytes_match_the_pinned_format() {
+        let dir = temp_dir("golden");
+        let (mut store, _) = ManifestStore::open(&dir).unwrap();
+        store.commit(sample_data()).unwrap();
+        let bytes = std::fs::read(dir.join(ManifestStore::FILE_NAME)).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, SAMPLE_MANIFEST_HEX);
+    }
+
+    /// Replace the manifest body in `dir` with `body`, under a valid CRC.
+    fn write_body(dir: &Path, body: &[u8]) {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&crc32(body).to_le_bytes());
+        bytes.extend_from_slice(body);
+        std::fs::write(dir.join(ManifestStore::FILE_NAME), bytes).unwrap();
+    }
+
+    #[test]
+    fn trailing_bytes_and_missing_stats_are_rejected() {
+        let dir = temp_dir("malformed-body");
+        let (mut store, _) = ManifestStore::open(&dir).unwrap();
+        let mut data = sample_data();
+        data.components[0].stats = ComponentStats::default();
+        store.commit(data).unwrap();
+        let bytes = std::fs::read(dir.join(ManifestStore::FILE_NAME)).unwrap();
+        let body = &bytes[MAGIC.len() + 4..];
+
+        // One byte past the last component, CRC recomputed to match.
+        let mut longer = body.to_vec();
+        longer.push(0);
+        write_body(&dir, &longer);
+        let err = ManifestStore::open(&dir).err().unwrap();
+        assert!(err.message.contains("trailing"), "{err}");
+
+        // The last component's empty statistics block is [1, 0, 0]
+        // (present, zero live records, zero columns). A lone 0 presence
+        // byte in its place — a component without statistics — is corrupt.
+        assert_eq!(&body[body.len() - 3..], [STATS_PRESENT, 0, 0]);
+        let mut stats_less = body[..body.len() - 3].to_vec();
+        stats_less.push(0);
+        write_body(&dir, &stats_less);
+        let err = ManifestStore::open(&dir).err().unwrap();
+        assert!(err.message.contains("without statistics"), "{err}");
     }
 
     #[test]

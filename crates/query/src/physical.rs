@@ -42,9 +42,7 @@
 //! The crossover this reproduces is Figure 15: probes win at low
 //! selectivity, scans win past roughly "one match per leaf". In-memory
 //! records (active + sealed memtables) cost no pages on either path and are
-//! excluded; components without statistics (recovered from a pre-stats
-//! manifest) price as "every record matches", which safely biases toward
-//! the scan. The chosen path and the estimate behind it are rendered by
+//! excluded. The chosen path and the estimate behind it are rendered by
 //! [`PhysicalPlan::describe`] (`EXPLAIN`).
 //!
 //! ## The streaming operator pipeline
@@ -100,8 +98,6 @@ use crate::{Error, Result};
 pub struct ComponentPlanInfo {
     /// Component id (for reporting which components were pruned).
     pub id: u64,
-    /// Entries in the component (records plus anti-matter).
-    pub records: u64,
     /// Physical pages the component occupies.
     pub pages: u64,
     /// Leaves (row/APAX pages, AMAX mega leaf nodes).
@@ -110,9 +106,8 @@ pub struct ComponentPlanInfo {
     pub min_key: Option<Value>,
     /// Largest key (absent for an empty component).
     pub max_key: Option<Value>,
-    /// Column statistics collected when the component was written. `None`
-    /// for components recovered from a pre-stats manifest.
-    pub stats: Option<Arc<ComponentStats>>,
+    /// Column statistics collected when the component was written.
+    pub stats: Arc<ComponentStats>,
     /// Decoded leaves of this component resident in the shared leaf cache
     /// at planning time (0 when no cache is configured). A cached leaf is
     /// served without touching any page, so the cost model discounts its
@@ -126,12 +121,11 @@ impl ComponentPlanInfo {
         let meta = component.meta();
         ComponentPlanInfo {
             id: meta.id,
-            records: meta.record_count as u64,
             pages: meta.pages.len() as u64,
             leaves: component.leaf_count() as u64,
             min_key: meta.min_key.clone(),
             max_key: meta.max_key.clone(),
-            stats: component.stats().cloned(),
+            stats: component.stats().clone(),
             cached_leaves: component.cached_leaf_count() as u64,
         }
     }
@@ -760,8 +754,7 @@ fn key_ranges_disjoint(a: &ComponentPlanInfo, b: &ComponentPlanInfo) -> bool {
 ///
 /// 1. **No match** — the component's statistics prove no record in it can
 ///    satisfy the filter: some implied range's path is absent from the
-///    component, or carries `[min, max]` bounds disjoint from the range
-///    (components without statistics are never pruned).
+///    component, or carries `[min, max]` bounds disjoint from the range.
 /// 2. **Reconciliation safety** — the component's key range is disjoint
 ///    from every *older* component's. Scans reconcile newest-first, so
 ///    skipping a component whose keys also live in an older component would
@@ -779,10 +772,7 @@ pub fn prune_flags(
         return flags;
     }
     for i in 0..infos.len() {
-        let Some(stats) = infos[i].stats.as_deref() else {
-            continue;
-        };
-        if !stats_prove_no_match(stats, &ranges) {
+        if !stats_prove_no_match(&infos[i].stats, &ranges) {
             continue;
         }
         flags[i] = infos[..i]
@@ -881,11 +871,9 @@ fn estimate_access(
     };
     // The fraction of a component's data pages the projection touches —
     // applied identically to both sides of the comparison.
-    let column_fraction = |c: &ComponentPlanInfo| match (projected_columns, c.stats.as_deref()) {
-        (Some(projected), Some(stats)) => {
-            (projected as f64 / stats.columns.len().max(1) as f64).min(1.0)
-        }
-        _ => 1.0,
+    let column_fraction = |c: &ComponentPlanInfo| match projected_columns {
+        Some(projected) => (projected as f64 / c.stats.columns.len().max(1) as f64).min(1.0),
+        None => 1.0,
     };
     // The fraction of a component's leaves already resident in the shared
     // decoded-leaf cache: those leaves are served without a page read, so
@@ -913,7 +901,7 @@ fn estimate_access(
     let disk_records: u64 = ctx
         .components
         .iter()
-        .map(|c| c.stats.as_deref().map(|s| s.live_records).unwrap_or(c.records))
+        .map(|c| c.stats.live_records)
         .sum();
 
     // The range driving the record estimate: the probe's, else the filter's
@@ -930,12 +918,7 @@ fn estimate_access(
         Some((path, lo, hi)) => ctx
             .components
             .iter()
-            .map(|c| match c.stats.as_deref() {
-                Some(stats) => estimate_component_matches(stats, path, lo, hi),
-                // No statistics: price as "every record matches", which
-                // safely biases the decision toward the scan.
-                None => c.records as f64,
-            })
+            .map(|c| estimate_component_matches(&c.stats, path, lo, hi))
             .sum(),
         None => disk_records as f64,
     };
@@ -1516,15 +1499,14 @@ mod tests {
         );
         ComponentPlanInfo {
             id,
-            records,
             pages,
             leaves,
             min_key: Some(Value::Int(key_range.0)),
             max_key: Some(Value::Int(key_range.1)),
-            stats: Some(Arc::new(ComponentStats {
+            stats: Arc::new(ComponentStats {
                 live_records: records,
                 columns,
-            })),
+            }),
             cached_leaves: 0,
         }
     }
@@ -1656,10 +1638,6 @@ mod tests {
         // No implied range (pure EXISTS) → nothing prunable.
         let exists = Expr::exists("score");
         assert_eq!(prune_flags(&infos, &exists), vec![false, false, false]);
-        // Components without stats are never pruned.
-        let mut bare = comp(3, 10, 1, 1, (1_000, 1_010), (500, 599));
-        bare.stats = None;
-        assert_eq!(prune_flags(&[bare], &filter), vec![false]);
     }
 
     #[test]

@@ -315,21 +315,6 @@ pub struct ScanFilter {
     pub older_key_ranges: Arc<Vec<(Value, Value)>>,
 }
 
-#[derive(Debug, Clone)]
-struct LeafRef {
-    /// Page id of the leaf page (row or APAX) or of Page 0 (AMAX).
-    page: PageId,
-    /// Data pages of an AMAX mega leaf (empty for other layouts).
-    data_pages: Vec<PageId>,
-    min_key: Value,
-    max_key: Value,
-    record_count: usize,
-    /// Per-leaf zone map (same shape as the component-level stats), used to
-    /// skip whole leaves under a pushed-down filter. `None` for leaves
-    /// recovered from a pre-V5 manifest — such leaves are never skipped.
-    stats: Option<ComponentStats>,
-}
-
 /// Summary information about a component.
 #[derive(Debug, Clone)]
 pub struct ComponentMeta {
@@ -362,10 +347,10 @@ pub struct LeafDescriptor {
     pub max_key: Value,
     /// Number of entries in the leaf.
     pub record_count: usize,
-    /// Per-leaf zone map over the leaf's live records. `None` for leaves
-    /// recovered from a pre-V5 manifest (they simply are not skippable
-    /// until the next merge rewrites them with stats).
-    pub stats: Option<ComponentStats>,
+    /// Per-leaf zone map over the leaf's live records (same shape as the
+    /// component-level stats), used to skip whole leaves under a
+    /// pushed-down filter.
+    pub stats: ComponentStats,
 }
 
 /// Serializable description of a whole component: everything a manifest must
@@ -386,8 +371,7 @@ pub struct ComponentDescriptor {
     /// The component's leaves, in key order.
     pub leaves: Vec<LeafDescriptor>,
     /// Per-column statistics collected when the component was written.
-    /// `None` only for components recovered from a pre-stats manifest.
-    pub stats: Option<ComponentStats>,
+    pub stats: ComponentStats,
 }
 
 /// An immutable on-disk component.
@@ -402,8 +386,8 @@ pub struct Component {
     schema: Schema,
     specs: HashMap<ColumnId, ColumnSpec>,
     key_spec: Option<ColumnSpec>,
-    leaves: Vec<LeafRef>,
-    stats: Option<Arc<ComponentStats>>,
+    leaves: Vec<LeafDescriptor>,
+    stats: Arc<ComponentStats>,
     config: ComponentConfig,
     cache: BufferCache,
     free_on_drop: std::sync::atomic::AtomicBool,
@@ -543,7 +527,7 @@ impl Component {
             specs,
             key_spec,
             leaves,
-            stats: Some(Arc::new(stats.finish())),
+            stats: Arc::new(stats.finish()),
             config: config.clone(),
             cache: cache.clone(),
             free_on_drop: std::sync::atomic::AtomicBool::new(false),
@@ -577,19 +561,8 @@ impl Component {
             record_count: self.meta.record_count,
             stored_bytes: self.meta.stored_bytes,
             pages: self.meta.pages.clone(),
-            stats: self.stats.as_deref().cloned(),
-            leaves: self
-                .leaves
-                .iter()
-                .map(|leaf| LeafDescriptor {
-                    page: leaf.page,
-                    data_pages: leaf.data_pages.clone(),
-                    min_key: leaf.min_key.clone(),
-                    max_key: leaf.max_key.clone(),
-                    record_count: leaf.record_count,
-                    stats: leaf.stats.clone(),
-                })
-                .collect(),
+            stats: ComponentStats::clone(&self.stats),
+            leaves: self.leaves.clone(),
         }
     }
 
@@ -605,19 +578,8 @@ impl Component {
         let specs: HashMap<ColumnId, ColumnSpec> =
             columns_of(&schema).into_iter().map(|s| (s.id, s)).collect();
         let key_spec = specs.values().find(|s| s.is_key).cloned();
-        let stats = desc.stats.map(Arc::new);
-        let leaves: Vec<LeafRef> = desc
-            .leaves
-            .into_iter()
-            .map(|leaf| LeafRef {
-                page: leaf.page,
-                data_pages: leaf.data_pages,
-                min_key: leaf.min_key,
-                max_key: leaf.max_key,
-                record_count: leaf.record_count,
-                stats: leaf.stats,
-            })
-            .collect();
+        let stats = Arc::new(desc.stats);
+        let leaves = desc.leaves;
         let meta = ComponentMeta {
             id: desc.id,
             layout: desc.layout,
@@ -658,11 +620,9 @@ impl Component {
     }
 
     /// Per-column statistics collected when the component was written (zone
-    /// maps + planner cardinalities). `None` only for components recovered
-    /// from a pre-stats manifest — such components are never zone-map pruned
-    /// and the planner falls back to conservative estimates.
-    pub fn stats(&self) -> Option<&Arc<ComponentStats>> {
-        self.stats.as_ref()
+    /// maps + planner cardinalities).
+    pub fn stats(&self) -> &Arc<ComponentStats> {
+        &self.stats
     }
 
     /// An owning streaming cursor over the component (see the module-level
@@ -731,7 +691,7 @@ impl Component {
     /// always included.
     fn decode_chunks(
         &self,
-        leaf: &LeafRef,
+        leaf: &LeafDescriptor,
         columns: Option<&[ColumnId]>,
     ) -> Result<Vec<columnar::ColumnChunk>> {
         match self.config.layout {
@@ -1225,12 +1185,8 @@ impl CursorState {
             self.next_leaf += 1;
             if let Some(filter) = &self.filter {
                 let leaf = &component.leaves[leaf_idx];
-                let provably_empty = leaf
-                    .stats
-                    .as_ref()
-                    .is_some_and(|stats| {
-                        filter.predicates.iter().any(|p| p.prove_no_match(stats))
-                    });
+                let provably_empty =
+                    filter.predicates.iter().any(|p| p.prove_no_match(&leaf.stats));
                 if provably_empty && leaf_safe_to_hide(leaf, &filter.older_key_ranges) {
                     component.cache.store().note_leaves_skipped(1);
                     continue;
@@ -1474,7 +1430,7 @@ impl ComponentCursor {
 /// Is hiding `leaf` reconciliation-safe? Only when its key range is disjoint
 /// from every older component's key range: otherwise a skipped entry could
 /// shadow (or annihilate) something an older component still yields.
-fn leaf_safe_to_hide(leaf: &LeafRef, older: &[(Value, Value)]) -> bool {
+fn leaf_safe_to_hide(leaf: &LeafDescriptor, older: &[(Value, Value)]) -> bool {
     older.iter().all(|(lo, hi)| {
         total_cmp(&leaf.max_key, lo) == Ordering::Less
             || total_cmp(&leaf.min_key, hi) == Ordering::Greater
@@ -1566,7 +1522,7 @@ fn write_row_leaf(
     format: RowFormat,
     batch: &mut Vec<Entry>,
     page_budget: usize,
-    leaves: &mut Vec<LeafRef>,
+    leaves: &mut Vec<LeafDescriptor>,
     pages: &mut Vec<PageId>,
     stored_bytes: &mut u64,
 ) -> Result<()> {
@@ -1587,13 +1543,13 @@ fn write_row_leaf(
     let (page, stored) = write_page(cache, &payload, config.compress_pages);
     pages.push(page);
     *stored_bytes += stored as u64;
-    leaves.push(LeafRef {
+    leaves.push(LeafDescriptor {
         page,
         data_pages: Vec::new(),
         min_key: batch.first().unwrap().0.clone(),
         max_key: batch.last().unwrap().0.clone(),
         record_count: batch.len(),
-        stats: Some(leaf_stats(batch)),
+        stats: leaf_stats(batch),
     });
     batch.clear();
     Ok(())
@@ -1629,7 +1585,7 @@ fn write_apax_leaves(
     schema: &Schema,
     entries: &[Entry],
     page_budget: usize,
-    leaves: &mut Vec<LeafRef>,
+    leaves: &mut Vec<LeafDescriptor>,
     pages: &mut Vec<PageId>,
     stored_bytes: &mut u64,
 ) -> Result<()> {
@@ -1649,13 +1605,13 @@ fn write_apax_leaves(
     let (page, stored) = write_page(cache, &payload, config.compress_pages);
     pages.push(page);
     *stored_bytes += stored as u64;
-    leaves.push(LeafRef {
+    leaves.push(LeafDescriptor {
         page,
         data_pages: Vec::new(),
         min_key,
         max_key,
         record_count: entries.len(),
-        stats: Some(leaf_stats(entries)),
+        stats: leaf_stats(entries),
     });
     Ok(())
 }
@@ -1667,7 +1623,7 @@ fn write_amax_leaf(
     schema: &Schema,
     entries: &[Entry],
     page_budget: usize,
-    leaves: &mut Vec<LeafRef>,
+    leaves: &mut Vec<LeafDescriptor>,
     pages: &mut Vec<PageId>,
     stored_bytes: &mut u64,
 ) -> Result<()> {
@@ -1694,13 +1650,13 @@ fn write_amax_leaf(
         pages.push(id);
         data_pages.push(id);
     }
-    leaves.push(LeafRef {
+    leaves.push(LeafDescriptor {
         page: page0_id,
         data_pages,
         min_key: entries.first().unwrap().0.clone(),
         max_key: entries.last().unwrap().0.clone(),
         record_count: entries.len(),
-        stats: Some(leaf_stats(entries)),
+        stats: leaf_stats(entries),
     });
     Ok(())
 }
