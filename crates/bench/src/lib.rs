@@ -141,7 +141,7 @@ pub const CONCURRENCY_GROUP_COMMIT: usize = 64;
 ///   I/O waits overlap each other even on a single core.
 ///
 /// All three modes ingest through the facade's group-commit batching API
-/// ([`docstore::Datastore::ingest_batch`] with a
+/// ([`docstore::ShardedDataset::ingest_batch`] with a
 /// [`CONCURRENCY_GROUP_COMMIT`]-record sync cadence) instead of hand-rolled
 /// per-K-records `sync()` loops. Reported as wall time and throughput. The
 /// background gain is bounded by the overlap between the writer's fsync
@@ -200,15 +200,16 @@ pub fn run_concurrency_comparison(
                     .max_sealed(8),
             )
             .expect("open dataset");
+        let dataset = store.dataset(&label).expect("just opened");
         let started = Instant::now();
-        store
-            .ingest_batch(&label, docs.clone(), CONCURRENCY_GROUP_COMMIT)
+        dataset
+            .ingest_batch(docs.clone(), CONCURRENCY_GROUP_COMMIT)
             .expect("group-committed ingest");
-        store.flush(&label).expect("flush");
+        dataset.flush().expect("flush");
         report(&label, started.elapsed());
 
-        let count = store
-            .query(&label, &Query::count_star(), ExecMode::Compiled)
+        let count = dataset
+            .query(&Query::count_star(), ExecMode::Compiled)
             .expect("fan-out count");
         assert_eq!(count[0].agg(), &docmodel::Value::Int(records as i64));
     }

@@ -1,32 +1,32 @@
 //! # docstore — the public facade
 //!
-//! A small, user-facing API over the whole stack: create a [`Datastore`],
-//! declare datasets with a storage layout, feed them JSON documents, and run
-//! compositional analytical queries. This is the surface a downstream user
-//! of the reproduction would program against; the examples in the repository
-//! root use nothing else.
+//! A small, user-facing API over the whole stack. A [`Datastore`] is a
+//! catalogue: it creates, opens and reopens named datasets and hands out
+//! [`ShardedDataset`]s by name. Every data-plane operation — ingest, delete,
+//! flush, point reads, cursors, queries, `EXPLAIN`, metrics — is a method of
+//! the dataset itself, so there is one entry point per operation. This is
+//! the surface a downstream user of the reproduction would program against;
+//! the examples in the repository root use nothing else.
 //!
-//! Every dataset is a [`ShardedDataset`]: one or more [`LsmDataset`]
-//! partitions, hash-partitioned by primary key. With `shards(1)` (the
-//! default) it behaves exactly like a single LSM dataset; with more shards,
-//! ingestion can run in parallel across partitions
-//! ([`Datastore::ingest_parallel`], or [`Datastore::ingest_batch`] for
-//! group-committed durable ingest) and queries fan out over the shards with
-//! exact partial-aggregate merging. Query execution goes through
+//! Every dataset is one or more [`LsmDataset`] partitions, hash-partitioned
+//! by primary key. With `shards(1)` (the default) it behaves exactly like a
+//! single LSM dataset; with more shards, [`ShardedDataset::ingest_batch`]
+//! writes the partitions in parallel (optionally group-committed for
+//! durable datasets) and queries fan out over the shards with exact
+//! partial-aggregate merging. Query execution goes through
 //! [`query::QueryEngine`]: the planner picks the access path — full scan,
 //! key-only scan, or a secondary-index range probe when the filter implies a
-//! range on the indexed path — and [`Datastore::explain`] shows the chosen
-//! plan.
+//! range on the indexed path — and [`ShardedDataset::explain`] shows the
+//! chosen plan.
 //!
 //! Execution **streams**: scans pull the LSM merge cursor one record at a
 //! time (memory bounded by one decoded leaf per component, not the
 //! dataset), so `LIMIT`ed queries stop reading early. Two result shapes are
 //! available — aggregate rows, and raw-column projections
 //! ([`query::Query::select_paths`]: one key-ordered row per matching
-//! record) — plus a cursor API for callers that want to iterate records
-//! themselves: [`Datastore::scan_cursor`] / [`ShardedDataset::cursor`]
-//! yield `(key, record)` pairs in global key order by k-way-merging the
-//! per-shard snapshot streams.
+//! record) — plus [`ShardedDataset::cursor`] for callers that want to
+//! iterate records themselves: it yields `(key, record)` pairs in global key
+//! order by k-way-merging the per-shard snapshot streams.
 //!
 //! ```
 //! use docstore::{Datastore, DatasetOptions, Layout};
@@ -36,13 +36,14 @@
 //! store
 //!     .create_dataset("gamers", DatasetOptions::new(Layout::Amax).key("id"))
 //!     .unwrap();
-//! store
-//!     .ingest_json("gamers", r#"
-//!         {"id": 1, "name": {"first": "Ann"}, "score": 62, "games": [{"title": "NBA"}]}
-//!         {"id": 2, "name": {"first": "Bo"}, "score": 38}
-//!     "#)
-//!     .unwrap();
-//! store.flush("gamers").unwrap();
+//! let gamers = store.dataset("gamers").unwrap();
+//! let docs = docmodel::parse_json_stream(r#"
+//!     {"id": 1, "name": {"first": "Ann"}, "score": 62, "games": [{"title": "NBA"}]}
+//!     {"id": 2, "name": {"first": "Bo"}, "score": 38}
+//! "#)
+//! .unwrap();
+//! gamers.ingest_batch(docs, 0).unwrap();
+//! gamers.flush().unwrap();
 //!
 //! // SELECT name.first, COUNT(*), MAX(score), AVG(score) WHERE score >= 50 ...
 //! let q = Query::select([
@@ -52,17 +53,16 @@
 //!     ])
 //!     .with_filter(Expr::ge("score", 50))
 //!     .group_by("name.first");
-//! let rows = store.query("gamers", &q, ExecMode::Compiled).unwrap();
+//! let rows = gamers.query(&q, ExecMode::Compiled).unwrap();
 //! assert_eq!(rows.len(), 1);
 //! assert_eq!(rows[0].aggs[0], docstore::Value::Int(1));
-//! assert!(store.explain("gamers", &q).unwrap().contains("full scan"));
+//! assert!(gamers.explain(&q).unwrap().contains("full scan"));
 //! ```
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use docmodel::parse_json;
 use lsm::{DatasetConfig, IngestStats, LsmDataset, Snapshot};
 use query::{ExecMode, Query, QueryEngine, QueryRow};
 use storage::pagestore::IoStats;
@@ -85,8 +85,8 @@ pub enum Error {
     Store(lsm::LsmError),
     /// The query layer rejected the plan or failed executing it.
     Query(query::Error),
-    /// The facade was misused: unknown dataset, duplicate name, invalid
-    /// JSON, missing primary key, ...
+    /// The facade was misused: unknown dataset, duplicate name, malformed
+    /// shard directories, missing primary key, ...
     Api(String),
 }
 
@@ -145,8 +145,6 @@ pub struct DatasetOptions {
     pub page_size: usize,
     /// Optional secondary index path.
     pub secondary_index: Option<Path>,
-    /// Page-level compression.
-    pub compress_pages: bool,
     /// Number of hash partitions (default 1).
     pub shards: usize,
     /// Run flushes/merges on the datastore's shared background worker pool.
@@ -172,7 +170,6 @@ impl DatasetOptions {
             memtable_budget: 4 << 20,
             page_size: 128 * 1024,
             secondary_index: None,
-            compress_pages: true,
             shards: 1,
             background: false,
             max_sealed: 2,
@@ -270,7 +267,6 @@ impl DatasetOptions {
             .with_max_sealed(self.max_sealed)
             .with_telemetry(self.telemetry)
             .with_compaction(self.compaction);
-        config.compress_pages = self.compress_pages;
         if self.memory_budget > 0 {
             // The budget split documented on `memory_budget`: half the
             // budget went to the shared leaf cache (built once by the
@@ -368,11 +364,10 @@ impl ShardedDataset {
         &self.shards[self.shard_index_for(key)]
     }
 
-    fn extract_key(&self, record: &Value) -> Result<Value> {
+    fn key_of<'v>(&self, record: &'v Value) -> Result<&'v Value> {
         record
             .get_field(&self.key_field)
             .filter(|v| v.is_atomic() && !v.is_null())
-            .cloned()
             .ok_or_else(|| {
                 Error::api(format!(
                     "record lacks an atomic primary key field '{}'",
@@ -381,36 +376,37 @@ impl ShardedDataset {
             })
     }
 
-    /// Partition a batch of documents by owning shard.
+    /// Partition a batch of documents by owning shard. Every key is checked
+    /// here, so a batch with a keyless document fails before any write.
     fn partition(&self, docs: Vec<Value>) -> Result<Vec<Vec<Value>>> {
         let mut partitions: Vec<Vec<Value>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for doc in docs {
-            let key = self.extract_key(&doc)?;
-            partitions[self.shard_index_for(&key)].push(doc);
+            let shard = self.shard_index_for(self.key_of(&doc)?);
+            partitions[shard].push(doc);
         }
         Ok(partitions)
     }
 
     /// Insert one record into the shard owning its key.
     pub fn insert(&self, record: Value) -> Result<()> {
-        let key = self.extract_key(&record)?;
-        Ok(self.shard_for(&key).insert(record)?)
+        let shard = self.shard_for(self.key_of(&record)?);
+        Ok(shard.insert(record)?)
     }
 
-    /// Insert a batch, partitioning it by shard and ingesting every
-    /// partition on its own thread. With background workers enabled this is
-    /// the fully parallel ingest path: N writer threads, N flush workers.
-    pub fn ingest_parallel(&self, docs: Vec<Value>) -> Result<usize> {
-        self.ingest_batch(docs, 0)
-    }
-
-    /// Group-committed batch ingest: partition the batch by shard, ingest
-    /// every partition on its own thread, and — when `sync_every > 0` —
-    /// fsync the shard's WAL after every `sync_every` records, plus once at
-    /// the end of the batch. This is how a durable service acknowledges
-    /// client batches without hand-rolling per-K-records `sync()` loops;
-    /// for in-memory datasets the syncs are no-ops.
+    /// Batch ingest: partition the batch by shard, ingest the partitions in
+    /// parallel (one thread per shard, the caller's included), and — when
+    /// `sync_every > 0` — fsync the shard's WAL after every `sync_every`
+    /// records, plus once at the end of the batch (group commit).
+    /// `sync_every == 0` is plain parallel ingest; with background workers
+    /// enabled that is N writer threads feeding N flush workers. A durable
+    /// service acknowledges client batches this way without hand-rolling
+    /// per-K-records `sync()` loops; for in-memory datasets the syncs are
+    /// no-ops.
+    ///
+    /// Every document's primary key is validated before the first write,
+    /// whatever the shard count: a batch with a keyless document returns
+    /// [`Error::Api`] and writes nothing.
     pub fn ingest_batch(&self, docs: Vec<Value>, sync_every: usize) -> Result<usize> {
         fn ingest_one(
             shard: &LsmDataset,
@@ -429,22 +425,19 @@ impl ShardedDataset {
             Ok(())
         }
 
-        if self.shards.len() == 1 {
-            let n = docs.len();
-            ingest_one(&self.shards[0], docs, sync_every)?;
-            return Ok(n);
-        }
         let partitions = self.partition(docs)?;
         let n = partitions.iter().map(Vec::len).sum();
+        let mut work = partitions.into_iter().zip(self.shards.iter());
+        let (first_batch, first_shard) = work.next().expect("a dataset has at least one shard");
         let results: Vec<lsm::Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = partitions
-                .into_iter()
-                .zip(self.shards.iter())
+            let handles: Vec<_> = work
                 .map(|(batch, shard)| scope.spawn(move || ingest_one(shard, batch, sync_every)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard ingest thread panicked"))
+            // The calling thread ingests the first partition itself, so a
+            // one-shard dataset spawns no thread at all.
+            let first = ingest_one(first_shard, first_batch, sync_every);
+            std::iter::once(first)
+                .chain(handles.into_iter().map(|h| h.join().expect("shard ingest thread panicked")))
                 .collect()
         });
         for result in results {
@@ -492,38 +485,17 @@ impl ShardedDataset {
     /// Run a query: the planner makes its cost-based access-path choice
     /// (scan, key-only scan, or secondary-index range probe, using the
     /// per-component statistics), fans it out over the shards (one thread
-    /// each) and merges the partial aggregates exactly.
+    /// each) and merges the partial aggregates exactly. Callers that need
+    /// explicit [`query::PlannerOptions`] (a forced access path, pruning
+    /// off) run [`QueryEngine::with_options`] over [`ShardedDataset::shards`].
     pub fn query(&self, query: &Query, mode: ExecMode) -> Result<Vec<QueryRow>> {
-        self.query_with_options(query, mode, query::PlannerOptions::default())
-    }
-
-    /// Like [`ShardedDataset::query`], with explicit planner options (e.g.
-    /// [`query::AccessPathChoice::ForceScan`] to bypass the cost model, or
-    /// zone-map pruning disabled for differential testing).
-    pub fn query_with_options(
-        &self,
-        query: &Query,
-        mode: ExecMode,
-        options: query::PlannerOptions,
-    ) -> Result<Vec<QueryRow>> {
-        let refs: Vec<&LsmDataset> = self.shards.iter().collect();
-        Ok(QueryEngine::with_options(mode, options).execute(&refs[..], query)?)
+        Ok(QueryEngine::new(mode).execute(&self.shard_refs()[..], query)?)
     }
 
     /// Render the physical plan a query would execute with (`EXPLAIN`):
     /// access path, cost estimate, pushed-down projection.
     pub fn explain(&self, query: &Query) -> Result<String> {
-        self.explain_with_options(query, query::PlannerOptions::default())
-    }
-
-    /// Like [`ShardedDataset::explain`], with explicit planner options.
-    pub fn explain_with_options(
-        &self,
-        query: &Query,
-        options: query::PlannerOptions,
-    ) -> Result<String> {
-        let refs: Vec<&LsmDataset> = self.shards.iter().collect();
-        Ok(QueryEngine::with_options(ExecMode::Compiled, options).explain(&refs[..], query)?)
+        Ok(QueryEngine::new(ExecMode::Compiled).explain(&self.shard_refs()[..], query)?)
     }
 
     /// Plan and *execute* a query, returning the plan annotated with actual
@@ -533,19 +505,12 @@ impl ShardedDataset {
     /// [`ShardedDataset::query`]'s. Shards run sequentially so each
     /// shard's I/O delta is exact.
     pub fn explain_analyze(&self, query: &Query, mode: ExecMode) -> Result<AnalyzeReport> {
-        self.explain_analyze_with_options(query, mode, query::PlannerOptions::default())
+        Ok(QueryEngine::new(mode).explain_analyze(&self.shard_refs()[..], query)?)
     }
 
-    /// Like [`ShardedDataset::explain_analyze`], with explicit planner
-    /// options.
-    pub fn explain_analyze_with_options(
-        &self,
-        query: &Query,
-        mode: ExecMode,
-        options: query::PlannerOptions,
-    ) -> Result<AnalyzeReport> {
-        let refs: Vec<&LsmDataset> = self.shards.iter().collect();
-        Ok(QueryEngine::with_options(mode, options).explain_analyze(&refs[..], query)?)
+    /// The shards as the query engine's fan-out target.
+    fn shard_refs(&self) -> Vec<&LsmDataset> {
+        self.shards.iter().collect()
     }
 
     /// The dataset's base name (shard partitions append `/shard-NNN`).
@@ -648,22 +613,11 @@ impl ShardedDataset {
             .fold(IngestStats::default(), |acc, s| acc.merged_with(&s.stats()))
     }
 
-    /// Combined I/O counters across shards.
+    /// Combined I/O counters across shards (every field summed).
     pub fn io_stats(&self) -> IoStats {
-        let mut total = IoStats::default();
-        for shard in &self.shards {
-            let s = shard.io_stats();
-            total.pages_read += s.pages_read;
-            total.pages_written += s.pages_written;
-            total.bytes_read += s.bytes_read;
-            total.bytes_written += s.bytes_written;
-            total.cache_hits += s.cache_hits;
-            total.records_assembled += s.records_assembled;
-            total.leaf_cache_hits += s.leaf_cache_hits;
-            total.leaf_cache_misses += s.leaf_cache_misses;
-            total.leaf_cache_evictions += s.leaf_cache_evictions;
-        }
-        total
+        self.shards
+            .iter()
+            .fold(IoStats::default(), |acc, s| acc.merged_with(&s.io_stats()))
     }
 
     /// Combined on-disk footprint across shards.
@@ -803,7 +757,10 @@ impl Iterator for DocCursor {
     }
 }
 
-/// A collection of named datasets — the facade over the LSM engine.
+/// The catalogue of named datasets: it creates, opens and reopens them and
+/// hands each out by name as a [`ShardedDataset`], on which every
+/// data-plane operation is called. The store also owns the background
+/// worker pool its datasets share.
 #[derive(Default)]
 pub struct Datastore {
     // Field order is load-bearing: datasets drop (and quiesce their
@@ -901,7 +858,9 @@ impl Datastore {
 
     /// Reopen a durable dataset from its directory alone, using the
     /// configuration persisted in its manifests. Detects the sharded layout
-    /// (`shard-NNN` subdirectories) automatically.
+    /// (`shard-NNN` subdirectories) automatically, and rejects it with
+    /// [`Error::Api`] unless the shard indices are exactly `0..n`: a missing
+    /// or unparsable shard directory would silently reroute keys.
     pub fn reopen_dataset(
         &mut self,
         name: &str,
@@ -910,38 +869,7 @@ impl Datastore {
         if self.datasets.contains_key(name) {
             return Err(Error::api(format!("dataset '{name}' already exists")));
         }
-        let dir = dir.as_ref();
-        let mut shard_dirs: Vec<std::path::PathBuf> = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if path.is_dir()
-                    && entry
-                        .file_name()
-                        .to_str()
-                        .map(|n| n.starts_with("shard-"))
-                        .unwrap_or(false)
-                {
-                    shard_dirs.push(path);
-                }
-            }
-        }
-        // Sort by the parsed shard index, not the path string: lexicographic
-        // order diverges from numeric order once ids outgrow the zero
-        // padding (shard-1000 would sort before shard-101), and shard order
-        // must match creation order for hash routing to find records.
-        shard_dirs.sort_by_key(|path| {
-            path.file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| n.strip_prefix("shard-"))
-                .and_then(|n| n.parse::<u64>().ok())
-                .unwrap_or(u64::MAX)
-        });
-        let dirs = if shard_dirs.is_empty() {
-            vec![dir.to_path_buf()]
-        } else {
-            shard_dirs
-        };
+        let dirs = shard_dirs(dir.as_ref())?;
         // Rebuild the shared leaf cache before any shard opens: the sum of
         // the persisted per-shard budget slices is the dataset budget, and
         // half of it funds one cache attached to every shard — the same
@@ -967,23 +895,10 @@ impl Datastore {
         Ok(())
     }
 
-    /// Force a dataset's acknowledged WAL records to the device (group
-    /// commit). No-op for in-memory datasets.
-    pub fn sync(&self, dataset: &str) -> Result<()> {
-        self.dataset(dataset)?.sync()
-    }
-
     /// Borrow a dataset.
     pub fn dataset(&self, name: &str) -> Result<&ShardedDataset> {
         self.datasets
             .get(name)
-            .ok_or_else(|| Error::api(format!("unknown dataset '{name}'")))
-    }
-
-    /// Mutably borrow a dataset.
-    pub fn dataset_mut(&mut self, name: &str) -> Result<&mut ShardedDataset> {
-        self.datasets
-            .get_mut(name)
             .ok_or_else(|| Error::api(format!("unknown dataset '{name}'")))
     }
 
@@ -994,24 +909,10 @@ impl Datastore {
         names
     }
 
-    /// Insert one document (as a [`Value`]).
-    pub fn ingest(&self, dataset: &str, doc: Value) -> Result<()> {
-        self.dataset(dataset)?.insert(doc)
-    }
-
-    /// Parse and insert one JSON document (or a whitespace-separated stream).
-    pub fn ingest_json(&self, dataset: &str, json: &str) -> Result<usize> {
-        let docs = docmodel::parse_json_stream(json)
-            .map_err(|e| Error::api(format!("invalid JSON: {e}")))?;
-        let n = docs.len();
-        let ds = self.dataset(dataset)?;
-        for doc in docs {
-            ds.insert(doc)?;
-        }
-        Ok(n)
-    }
-
-    /// Insert many documents.
+    /// Insert many documents one at a time, in order. Retained for the
+    /// benchmark's reference dataset (`perfbench/src/check.rs`), which is
+    /// built through it; new code calls [`ShardedDataset::ingest_batch`]
+    /// on [`Datastore::dataset`].
     pub fn ingest_all(&self, dataset: &str, docs: impl IntoIterator<Item = Value>) -> Result<usize> {
         let ds = self.dataset(dataset)?;
         let mut n = 0;
@@ -1020,68 +921,6 @@ impl Datastore {
             n += 1;
         }
         Ok(n)
-    }
-
-    /// Insert a batch through the parallel, per-shard ingest path.
-    pub fn ingest_parallel(&self, dataset: &str, docs: Vec<Value>) -> Result<usize> {
-        self.dataset(dataset)?.ingest_parallel(docs)
-    }
-
-    /// Group-committed batch ingest: one writer thread per shard, WAL fsync
-    /// every `sync_every` records (and once at the end). See
-    /// [`ShardedDataset::ingest_batch`].
-    pub fn ingest_batch(
-        &self,
-        dataset: &str,
-        docs: Vec<Value>,
-        sync_every: usize,
-    ) -> Result<usize> {
-        self.dataset(dataset)?.ingest_batch(docs, sync_every)
-    }
-
-    /// Delete a record by key.
-    pub fn delete(&self, dataset: &str, key: Value) -> Result<()> {
-        self.dataset(dataset)?.delete(key)
-    }
-
-    /// Force-flush the in-memory component(s), draining background workers.
-    pub fn flush(&self, dataset: &str) -> Result<()> {
-        self.dataset(dataset)?.flush()
-    }
-
-    /// Flush and merge everything down to one component per shard.
-    pub fn compact(&self, dataset: &str) -> Result<()> {
-        self.dataset(dataset)?.compact()
-    }
-
-    /// Run a query (planner-routed access path, fan-out over shards,
-    /// partial-aggregate merge).
-    pub fn query(&self, dataset: &str, query: &Query, mode: ExecMode) -> Result<Vec<QueryRow>> {
-        self.dataset(dataset)?.query(query, mode)
-    }
-
-    /// Render the physical plan a query would execute with (`EXPLAIN`): the
-    /// chosen access path and the pushed-down projection.
-    pub fn explain(&self, dataset: &str, query: &Query) -> Result<String> {
-        self.dataset(dataset)?.explain(query)
-    }
-
-    /// Execute a query and return the plan annotated with actual execution
-    /// counters (`EXPLAIN ANALYZE`). See [`ShardedDataset::explain_analyze`].
-    pub fn explain_analyze(
-        &self,
-        dataset: &str,
-        query: &Query,
-        mode: ExecMode,
-    ) -> Result<AnalyzeReport> {
-        self.dataset(dataset)?.explain_analyze(query, mode)
-    }
-
-    /// A dataset's metrics snapshot, merged over its shards. Export as
-    /// aligned text ([`MetricsSnapshot::to_text`]) or JSON
-    /// ([`MetricsSnapshot::to_json`]).
-    pub fn metrics(&self, dataset: &str) -> Result<MetricsSnapshot> {
-        Ok(self.dataset(dataset)?.metrics())
     }
 
     /// Health of every dataset in the store: per-shard worker state, last
@@ -1096,48 +935,47 @@ impl Datastore {
             })
             .collect()
     }
+}
 
-    /// Point lookup by primary key.
-    pub fn get(&self, dataset: &str, key: &Value) -> Result<Option<Value>> {
-        self.dataset(dataset)?.get(key)
+/// The partition directories of a durable dataset rooted at `dir`, in shard
+/// order: its `shard-NNN` subdirectories when there are any (their indices
+/// must be exactly `0..n` — shard order is hash-routing order, so a gap or
+/// a stray name is an error, not a smaller dataset), else `dir` itself.
+fn shard_dirs(dir: &std::path::Path) -> Result<Vec<std::path::PathBuf>> {
+    let mut shards: Vec<(u64, std::path::PathBuf)> = Vec::new();
+    if let Ok(entries) = std::fs::read_dir(dir) {
+        for entry in entries.flatten() {
+            let path = entry.path();
+            let name = entry.file_name();
+            let Some(suffix) = name.to_str().and_then(|n| n.strip_prefix("shard-")) else {
+                continue;
+            };
+            if !path.is_dir() {
+                continue;
+            }
+            let index = suffix.parse::<u64>().map_err(|_| {
+                Error::api(format!("unexpected shard directory {}", path.display()))
+            })?;
+            shards.push((index, path));
+        }
     }
-
-    /// A streaming cursor over a dataset's live records in key order (see
-    /// [`ShardedDataset::cursor`]): bounded memory, early drop reads no
-    /// further pages. The cursor owns consistent snapshots, so concurrent
-    /// ingestion never disturbs an in-flight iteration.
-    pub fn scan_cursor(
-        &self,
-        dataset: &str,
-        projection: Option<&[Path]>,
-    ) -> Result<DocCursor> {
-        self.dataset(dataset)?.cursor(projection)
+    if shards.is_empty() {
+        return Ok(vec![dir.to_path_buf()]);
     }
-
-    /// Parse a single JSON document into a [`Value`] (re-export convenience).
-    pub fn parse(json: &str) -> Result<Value> {
-        parse_json(json).map_err(|e| Error::api(format!("invalid JSON: {e}")))
+    // Sort by the parsed index, not the name: lexicographic order diverges
+    // from numeric order once ids outgrow the zero padding (shard-1000
+    // would sort before shard-101).
+    shards.sort_by_key(|(index, _)| *index);
+    for (expected, (index, path)) in shards.iter().enumerate() {
+        if *index != expected as u64 {
+            return Err(Error::api(format!(
+                "shard directories of {} are not contiguous: expected shard {expected}, found {}",
+                dir.display(),
+                path.display()
+            )));
+        }
     }
-
-    /// Ingestion statistics of a dataset (summed over shards).
-    pub fn ingest_stats(&self, dataset: &str) -> Result<IngestStats> {
-        Ok(self.dataset(dataset)?.stats())
-    }
-
-    /// I/O statistics of a dataset's simulated disk(s).
-    pub fn io_stats(&self, dataset: &str) -> Result<IoStats> {
-        Ok(self.dataset(dataset)?.io_stats())
-    }
-
-    /// On-disk footprint of a dataset (primary index plus index structures).
-    pub fn stored_bytes(&self, dataset: &str) -> Result<u64> {
-        Ok(self.dataset(dataset)?.total_stored_bytes())
-    }
-
-    /// The inferred schema of a dataset, pretty-printed.
-    pub fn describe_schema(&self, dataset: &str) -> Result<String> {
-        Ok(self.dataset(dataset)?.schema().describe())
-    }
+    Ok(shards.into_iter().map(|(_, path)| path).collect())
 }
 
 #[cfg(test)]
@@ -1157,25 +995,20 @@ mod tests {
             )
             .unwrap();
         assert!(store.create_dataset("tweets", DatasetOptions::new(Layout::Vb)).is_err());
+        let tweets = store.dataset("tweets").unwrap();
 
         for i in 0..200i64 {
-            store
-                .ingest(
-                    "tweets",
-                    doc!({"id": i, "likes": (i % 10), "user": {"name": (format!("u{}", i % 5))}}),
-                )
+            tweets
+                .insert(doc!({"id": i, "likes": (i % 10), "user": {"name": (format!("u{}", i % 5))}}))
                 .unwrap();
         }
-        store.flush("tweets").unwrap();
+        tweets.flush().unwrap();
 
-        let count = store
-            .query("tweets", &Query::count_star(), ExecMode::Compiled)
-            .unwrap();
+        let count = tweets.query(&Query::count_star(), ExecMode::Compiled).unwrap();
         assert_eq!(count[0].agg(), &Value::Int(200));
 
-        let top = store
+        let top = tweets
             .query(
-                "tweets",
                 &Query::select([
                     Aggregate::Max(Path::parse("likes")),
                     Aggregate::Avg(Path::parse("likes")),
@@ -1188,10 +1021,10 @@ mod tests {
         assert_eq!(top.len(), 3);
         assert_eq!(top[0].aggs.len(), 2);
 
-        let rec = store.get("tweets", &Value::Int(42)).unwrap().unwrap();
+        let rec = tweets.get(&Value::Int(42)).unwrap().unwrap();
         assert_eq!(rec.get_field("likes"), Some(&Value::Int(2)));
-        assert!(store.stored_bytes("tweets").unwrap() > 0);
-        assert!(store.describe_schema("tweets").unwrap().contains("user"));
+        assert!(tweets.total_stored_bytes() > 0);
+        assert!(tweets.schema().describe().contains("user"));
         assert_eq!(store.dataset_names(), vec!["tweets".to_string()]);
     }
 
@@ -1216,18 +1049,19 @@ mod tests {
                     .page_size(8 * 1024),
             )
             .unwrap();
+        let sharded = store.dataset("sharded").unwrap();
+        let single = store.dataset("single").unwrap();
 
         let docs: Vec<Value> = (0..500i64)
             .map(|i| doc!({"id": i, "grp": (format!("g{}", i % 9)), "score": (i % 100)}))
             .collect();
-        store.ingest_parallel("sharded", docs.clone()).unwrap();
-        store.ingest_all("single", docs).unwrap();
-        store.flush("sharded").unwrap();
-        store.flush("single").unwrap();
+        sharded.ingest_batch(docs.clone(), 0).unwrap();
+        single.ingest_batch(docs, 0).unwrap();
+        sharded.flush().unwrap();
+        single.flush().unwrap();
 
         // Records are spread across shards (with 500 keys and 4 shards every
         // shard must own some).
-        let sharded = store.dataset("sharded").unwrap();
         assert_eq!(sharded.shard_count(), 4);
         for shard in sharded.shards() {
             assert!(shard.count().unwrap() > 0, "every shard owns records");
@@ -1246,21 +1080,19 @@ mod tests {
             .group_by("grp")
             .top_k(4),
         ] {
-            let a = store.query("sharded", &q, ExecMode::Compiled).unwrap();
-            let b = store.query("single", &q, ExecMode::Compiled).unwrap();
+            let a = sharded.query(&q, ExecMode::Compiled).unwrap();
+            let b = single.query(&q, ExecMode::Compiled).unwrap();
             assert_eq!(a, b);
         }
         // The sharded plan advertises the fan-out.
-        let plan = store
-            .explain("sharded", &Query::count_star().group_by("grp"))
-            .unwrap();
+        let plan = sharded.explain(&Query::count_star().group_by("grp")).unwrap();
         assert!(plan.contains("shards     : 4"), "{plan}");
 
         // Point operations route to the owning shard.
-        assert!(store.get("sharded", &Value::Int(123)).unwrap().is_some());
-        store.delete("sharded", Value::Int(123)).unwrap();
-        store.flush("sharded").unwrap();
-        assert!(store.get("sharded", &Value::Int(123)).unwrap().is_none());
+        assert!(sharded.get(&Value::Int(123)).unwrap().is_some());
+        sharded.delete(Value::Int(123)).unwrap();
+        sharded.flush().unwrap();
+        assert!(sharded.get(&Value::Int(123)).unwrap().is_none());
         assert_eq!(sharded.count().unwrap(), 499);
     }
 
@@ -1270,6 +1102,7 @@ mod tests {
             .join(format!("docstore-facade-tests-{}", std::process::id()))
             .join("durable");
         let _ = std::fs::remove_dir_all(&dir);
+        let json = |text: &str| docmodel::parse_json_stream(text).unwrap();
         {
             let mut store = Datastore::new();
             store
@@ -1279,26 +1112,24 @@ mod tests {
                     DatasetOptions::new(Layout::Amax).page_size(8 * 1024),
                 )
                 .unwrap();
-            store
-                .ingest_json("events", "{\"id\": 1, \"kind\": \"created\"}\n{\"id\": 2, \"kind\": \"deleted\"}")
+            let events = store.dataset("events").unwrap();
+            events
+                .ingest_batch(json("{\"id\": 1, \"kind\": \"created\"}\n{\"id\": 2, \"kind\": \"deleted\"}"), 0)
                 .unwrap();
-            store.delete("events", Value::Int(2)).unwrap();
-            store.flush("events").unwrap();
-            store
-                .ingest_json("events", "{\"id\": 3, \"kind\": \"unflushed\"}")
-                .unwrap();
-            store.sync("events").unwrap();
+            events.delete(Value::Int(2)).unwrap();
+            events.flush().unwrap();
+            events.ingest_batch(json("{\"id\": 3, \"kind\": \"unflushed\"}"), 0).unwrap();
+            events.sync().unwrap();
             // Dropped without a final flush: id 3 lives only in the WAL.
         }
         let mut store = Datastore::new();
         store.reopen_dataset("events", &dir).unwrap();
         assert!(store.create_dataset("events", DatasetOptions::new(Layout::Vb)).is_err());
-        let count = store
-            .query("events", &Query::count_star(), ExecMode::Compiled)
-            .unwrap();
+        let events = store.dataset("events").unwrap();
+        let count = events.query(&Query::count_star(), ExecMode::Compiled).unwrap();
         assert_eq!(count[0].agg(), &Value::Int(2));
-        assert!(store.get("events", &Value::Int(2)).unwrap().is_none());
-        let recovered = store.get("events", &Value::Int(3)).unwrap().unwrap();
+        assert!(events.get(&Value::Int(2)).unwrap().is_none());
+        let recovered = events.get(&Value::Int(3)).unwrap().unwrap();
         assert_eq!(recovered.get_field("kind"), Some(&Value::from("unflushed")));
     }
 
@@ -1321,19 +1152,19 @@ mod tests {
                         .background(true),
                 )
                 .unwrap();
+            let events = store.dataset("events").unwrap();
             let docs: Vec<Value> = (0..300i64).map(|i| doc!({"id": i, "v": (i * 2)})).collect();
             // Group-committed batch ingest: fsync every 64 records per shard.
-            assert_eq!(store.ingest_batch("events", docs, 64).unwrap(), 300);
-            store.flush("events").unwrap();
+            assert_eq!(events.ingest_batch(docs, 64).unwrap(), 300);
+            events.flush().unwrap();
         }
         let mut store = Datastore::new();
         store.reopen_dataset("events", &dir).unwrap();
-        assert_eq!(store.dataset("events").unwrap().shard_count(), 3);
-        let count = store
-            .query("events", &Query::count_star(), ExecMode::Compiled)
-            .unwrap();
+        let events = store.dataset("events").unwrap();
+        assert_eq!(events.shard_count(), 3);
+        let count = events.query(&Query::count_star(), ExecMode::Compiled).unwrap();
         assert_eq!(count[0].agg(), &Value::Int(300));
-        let rec = store.get("events", &Value::Int(217)).unwrap().unwrap();
+        let rec = events.get(&Value::Int(217)).unwrap().unwrap();
         assert_eq!(rec.get_field("v"), Some(&Value::Int(434)));
     }
 
@@ -1355,13 +1186,15 @@ mod tests {
                 )
                 .unwrap();
         }
+        let sharded = store.dataset("sharded").unwrap();
+        let single = store.dataset("single").unwrap();
         let docs: Vec<Value> = (0..400i64)
             .map(|i| doc!({"id": i, "ts": (1000 + i), "grp": (format!("g{}", i % 5)), "score": (i % 100)}))
             .collect();
-        store.ingest_parallel("sharded", docs.clone()).unwrap();
-        store.ingest_all("single", docs).unwrap();
-        store.flush("sharded").unwrap();
-        store.flush("single").unwrap();
+        sharded.ingest_batch(docs.clone(), 0).unwrap();
+        single.ingest_batch(docs, 0).unwrap();
+        sharded.flush().unwrap();
+        single.flush().unwrap();
 
         let q = Query::select([
             Aggregate::Count,
@@ -1370,39 +1203,35 @@ mod tests {
         ])
         .with_filter(Expr::between("ts", 1100, 1299))
         .group_by("grp");
+        // Explicit planner options go to the engine over the shards.
+        let shards: Vec<&LsmDataset> = sharded.shards().iter().collect();
+        let engine = |mode, choice| {
+            QueryEngine::with_options(mode, query::PlannerOptions::with_access_path(choice))
+        };
 
         // Forced through the index, the plan probes and fans out; the
         // default (cost-based) plan shows its estimate either way.
-        let force_index =
-            query::PlannerOptions::with_access_path(query::AccessPathChoice::ForceIndex);
-        let plan = store
-            .dataset("sharded")
-            .unwrap()
-            .explain_with_options(&q, force_index)
+        let plan = engine(ExecMode::Compiled, query::AccessPathChoice::ForceIndex)
+            .explain(&shards[..], &q)
             .unwrap();
         assert!(plan.contains("secondary-index range probe on `ts`"), "{plan}");
         assert!(plan.contains("shards     : 4"), "{plan}");
-        let plan = store.explain("sharded", &q).unwrap();
+        let plan = sharded.explain(&q).unwrap();
         assert!(plan.contains("selectivity"), "{plan}");
 
         for mode in [ExecMode::Compiled, ExecMode::Interpreted] {
-            let single = store.query("single", &q, mode).unwrap();
+            let expected = single.query(&q, mode).unwrap();
             // Every access-path policy agrees, sharded or not.
             for choice in [
                 query::AccessPathChoice::Auto,
                 query::AccessPathChoice::ForceIndex,
                 query::AccessPathChoice::ForceScan,
             ] {
-                let options = query::PlannerOptions::with_access_path(choice);
-                let sharded = store
-                    .dataset("sharded")
-                    .unwrap()
-                    .query_with_options(&q, mode, options)
-                    .unwrap();
-                assert_eq!(sharded, single, "{mode:?} {choice:?}");
+                let rows = engine(mode, choice).execute(&shards[..], &q).unwrap();
+                assert_eq!(rows, expected, "{mode:?} {choice:?}");
             }
-            let sharded = store.query("sharded", &q, mode).unwrap();
-            assert_eq!(sharded.iter().map(|r| r.aggs[0].as_int().unwrap()).sum::<i64>(), 200);
+            let rows = sharded.query(&q, mode).unwrap();
+            assert_eq!(rows.iter().map(|r| r.aggs[0].as_int().unwrap()).sum::<i64>(), 200);
         }
     }
 
@@ -1418,11 +1247,12 @@ mod tests {
                     .shards(3),
             )
             .unwrap();
+        let events = store.dataset("events").unwrap();
         let docs: Vec<Value> = (0..200i64)
             .map(|i| doc!({"id": i, "kind": (format!("k{}", i % 4)), "size": (i % 50)}))
             .collect();
-        store.ingest_parallel("events", docs).unwrap();
-        store.flush("events").unwrap();
+        events.ingest_batch(docs, 0).unwrap();
+        events.flush().unwrap();
 
         // Raw-column SELECT with ORDER BY key LIMIT: rows come back in
         // global key order across the three shards.
@@ -1430,19 +1260,19 @@ mod tests {
             .with_filter(Expr::ge("size", 10))
             .order_by_key()
             .with_limit(5);
-        let rows = store.query("events", &q, ExecMode::Compiled).unwrap();
+        let rows = events.query(&q, ExecMode::Compiled).unwrap();
         assert_eq!(rows.len(), 5);
         let keys: Vec<i64> = rows.iter().map(|r| r.group.as_ref().unwrap().as_int().unwrap()).collect();
         assert_eq!(keys, vec![10, 11, 12, 13, 14]);
         assert_eq!(rows[0].aggs.len(), 2);
-        let plan = store.explain("events", &q).unwrap();
+        let plan = events.explain(&q).unwrap();
         assert!(plan.contains("SELECT kind, size"), "{plan}");
         assert!(plan.contains("key ASC LIMIT 5"), "{plan}");
         assert!(plan.contains("key-ordered row streams"), "{plan}");
 
         // The streaming cursor merges the per-shard streams in key order
         // and supports early drop.
-        let mut cursor = store.scan_cursor("events", None).unwrap();
+        let mut cursor = events.cursor(None).unwrap();
         let mut seen = Vec::new();
         for entry in cursor.by_ref().take(10) {
             let (key, doc) = entry.unwrap();
@@ -1453,12 +1283,7 @@ mod tests {
         drop(cursor);
         // Projection-aware: only the requested column is assembled.
         let projection = [Path::parse("size")];
-        let (key, doc) = store
-            .scan_cursor("events", Some(&projection))
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap();
+        let (key, doc) = events.cursor(Some(&projection)).unwrap().next().unwrap().unwrap();
         assert_eq!(key, Value::Int(0));
         assert!(doc.get_field("size").is_some());
         assert!(doc.get_field("kind").is_none(), "unprojected column absent");
@@ -1476,11 +1301,11 @@ mod tests {
                     .shards(3),
             )
             .unwrap();
-        let docs: Vec<Value> = (0..300i64).map(|i| doc!({"id": i, "v": i})).collect();
-        store.ingest_parallel("stream", docs).unwrap();
-        store.flush("stream").unwrap();
-
         let ds = store.dataset("stream").unwrap();
+        let docs: Vec<Value> = (0..300i64).map(|i| doc!({"id": i, "v": i})).collect();
+        ds.ingest_batch(docs, 0).unwrap();
+        ds.flush().unwrap();
+
         let mut cursor = ds.cursor(None).unwrap();
         let first: Vec<i64> = cursor
             .by_ref()
@@ -1495,7 +1320,7 @@ mod tests {
         ds.insert(doc!({"id": (150i64), "v": (-1i64)})).unwrap();
         ds.delete(Value::Int(200)).unwrap();
         ds.insert(doc!({"id": (300i64), "v": (300i64)})).unwrap();
-        store.compact("stream").unwrap();
+        ds.compact().unwrap();
 
         // Without refresh the pinned snapshots would still show the old
         // state; after refresh the continuation reflects it, resumes
@@ -1522,10 +1347,10 @@ mod tests {
             .create_dataset("d", DatasetOptions::new(Layout::Amax).page_size(8 * 1024))
             .unwrap();
         // Plan validation error.
-        let err = store.query("d", &Query::new(), ExecMode::Compiled).unwrap_err();
+        let err = store.dataset("d").unwrap().query(&Query::new(), ExecMode::Compiled).unwrap_err();
         assert!(matches!(err, Error::Query(query::Error::InvalidPlan(_))), "{err:?}");
         // Facade-level error.
-        let err = store.query("nope", &Query::count_star(), ExecMode::Compiled).unwrap_err();
+        let err = store.dataset("nope").err().unwrap();
         assert!(matches!(err, Error::Api(_)), "{err:?}");
         assert!(err.to_string().contains("unknown dataset"));
     }
@@ -1536,16 +1361,15 @@ mod tests {
         store
             .create_dataset("d", DatasetOptions::new(Layout::Apax).page_size(8 * 1024))
             .unwrap();
-        let n = store
-            .ingest_json("d", "{\"id\": 1, \"v\": 1}\n{\"id\": 2, \"v\": \"two\"}")
+        let d = store.dataset("d").unwrap();
+        let docs = docmodel::parse_json_stream("{\"id\": 1, \"v\": 1}\n{\"id\": 2, \"v\": \"two\"}")
             .unwrap();
-        assert_eq!(n, 2);
-        assert!(store.ingest_json("d", "not json").is_err());
-        store.delete("d", Value::Int(1)).unwrap();
-        store.compact("d").unwrap();
-        assert!(store.get("d", &Value::Int(1)).unwrap().is_none());
-        assert!(store.get("d", &Value::Int(2)).unwrap().is_some());
-        assert!(store.query("nope", &Query::count_star(), ExecMode::Compiled).is_err());
+        assert_eq!(d.ingest_batch(docs, 0).unwrap(), 2);
+        d.delete(Value::Int(1)).unwrap();
+        d.compact().unwrap();
+        assert!(d.get(&Value::Int(1)).unwrap().is_none());
+        assert!(d.get(&Value::Int(2)).unwrap().is_some());
+        assert!(store.dataset("nope").is_err());
     }
 
     #[test]
@@ -1563,12 +1387,13 @@ mod tests {
         let docs: Vec<Value> = (0..300i64)
             .map(|i| doc!({"id": i, "grp": (format!("g{}", i % 5)), "score": (i % 100)}))
             .collect();
-        store.ingest_all("obs", docs).unwrap();
-        store.flush("obs").unwrap();
+        let obs = store.dataset("obs").unwrap();
+        obs.ingest_batch(docs, 0).unwrap();
+        obs.flush().unwrap();
 
         // Merged metrics: counters sum across shards; the amp gauges are
         // recomputed over the merged totals (never summed per shard).
-        let metrics = store.metrics("obs").unwrap();
+        let metrics = obs.metrics();
         assert_eq!(metrics.dataset, "obs");
         assert_eq!(metrics.shards, 3);
         assert_eq!(metrics.counter("ingest.records"), 300);
@@ -1591,7 +1416,7 @@ mod tests {
         }
 
         // Events: merged across shards, tagged with their shard index.
-        let events = store.dataset("obs").unwrap().recent_events(64);
+        let events = obs.recent_events(64);
         assert!(events.iter().any(|(_, e)| e.kind.label() == "flush_end"));
         let shard_ids: std::collections::BTreeSet<usize> =
             events.iter().map(|(i, _)| *i).collect();
@@ -1600,8 +1425,8 @@ mod tests {
         // EXPLAIN ANALYZE through the facade: same rows as query(), exact
         // early-termination point for a limited key-ordered select.
         let q = Query::select_paths(["score"]).order_by_key().with_limit(7);
-        let expected = store.query("obs", &q, ExecMode::Compiled).unwrap();
-        let report = store.explain_analyze("obs", &q, ExecMode::Compiled).unwrap();
+        let expected = obs.query(&q, ExecMode::Compiled).unwrap();
+        let report = obs.explain_analyze(&q, ExecMode::Compiled).unwrap();
         assert_eq!(report.rows, expected);
         assert_eq!(report.shards.len(), 3);
         assert_eq!(report.early_termination(), Some(report.rows_pulled()));
@@ -1615,12 +1440,13 @@ mod tests {
                 DatasetOptions::new(Layout::Vb).page_size(8 * 1024).telemetry(false),
             )
             .unwrap();
-        store.ingest("dark", doc!({"id": 1, "v": 2})).unwrap();
-        store.flush("dark").unwrap();
-        let metrics = store.metrics("dark").unwrap();
+        let dark = store.dataset("dark").unwrap();
+        dark.insert(doc!({"id": 1, "v": 2})).unwrap();
+        dark.flush().unwrap();
+        let metrics = dark.metrics();
         assert_eq!(metrics.counter("ingest.records"), 0);
-        assert!(store.dataset("dark").unwrap().recent_events(16).is_empty());
-        assert_eq!(store.get("dark", &Value::Int(1)).unwrap().unwrap().get_field("v"), Some(&Value::Int(2)));
+        assert!(dark.recent_events(16).is_empty());
+        assert_eq!(dark.get(&Value::Int(1)).unwrap().unwrap().get_field("v"), Some(&Value::Int(2)));
     }
 
     #[test]
@@ -1639,23 +1465,23 @@ mod tests {
         let docs: Vec<Value> = (0..400i64)
             .map(|i| doc!({"id": i, "score": (i % 100), "grp": (format!("g{}", i % 4))}))
             .collect();
-        store.ingest_all("warm", docs).unwrap();
-        store.flush("warm").unwrap();
-
         let ds = store.dataset("warm").unwrap();
+        ds.ingest_batch(docs, 0).unwrap();
+        ds.flush().unwrap();
+
         let cache = ds.leaf_cache().expect("budget configures a shared cache");
         assert_eq!(cache.capacity_bytes(), 8 << 20, "half the budget funds the cache");
 
         // Cold run: every leaf is a miss and pages are read.
         let q = Query::count_star().with_filter(Expr::ge("score", 0));
-        let cold = store.explain_analyze("warm", &q, ExecMode::Compiled).unwrap();
+        let cold = ds.explain_analyze(&q, ExecMode::Compiled).unwrap();
         assert_eq!(cold.rows[0].agg(), &Value::Int(400));
         assert!(cold.cache_misses() > 0, "{cold:?}");
         assert_eq!(cold.cache_hits(), 0);
 
         // Warm re-run: cache hits == leaves touched (the cold misses),
         // zero misses, zero pages read — the acceptance criterion.
-        let warm = store.explain_analyze("warm", &q, ExecMode::Compiled).unwrap();
+        let warm = ds.explain_analyze(&q, ExecMode::Compiled).unwrap();
         assert_eq!(warm.rows, cold.rows);
         assert_eq!(warm.cache_hits(), cold.cache_misses());
         assert_eq!(warm.cache_misses(), 0);
@@ -1663,7 +1489,7 @@ mod tests {
         assert!(warm.describe().contains("cache hits"), "{}", warm.describe());
 
         // The planner now sees the resident leaves and discounts the scan.
-        let plan = store.explain("warm", &q).unwrap();
+        let plan = ds.explain(&q).unwrap();
         assert!(plan.contains("cache discount"), "{plan}");
 
         // Telemetry: per-shard counters summed, residency gauges pushed
@@ -1690,9 +1516,9 @@ mod tests {
             )
             .unwrap();
         let docs: Vec<Value> = (0..300i64).map(|i| doc!({"id": i, "v": i})).collect();
-        store.ingest_all("churn", docs).unwrap();
-        store.flush("churn").unwrap();
         let ds = store.dataset("churn").unwrap();
+        ds.ingest_batch(docs, 0).unwrap();
+        ds.flush().unwrap();
         let cache = ds.leaf_cache().unwrap().clone();
 
         // Warm the cache through a full scan, then pause mid-stream with a
@@ -1712,7 +1538,7 @@ mod tests {
         // (Unpinned intermediates may already invalidate here; the *pinned*
         // components' leaves must still be resident.)
         ds.insert(doc!({"id": (300i64), "v": (300i64)})).unwrap();
-        store.compact("churn").unwrap();
+        ds.compact().unwrap();
         let before = cache.stats();
         assert!(
             before.resident_leaves > 0,
@@ -1747,9 +1573,9 @@ mod tests {
             .unwrap();
         let n = 400i64;
         let docs: Vec<Value> = (0..n).map(|i| doc!({"id": i, "v": (i * 3)})).collect();
-        store.ingest_all("fleet", docs).unwrap();
-        store.flush("fleet").unwrap();
         let ds = store.dataset("fleet").unwrap();
+        ds.ingest_batch(docs, 0).unwrap();
+        ds.flush().unwrap();
         let cache = ds.leaf_cache().unwrap();
 
         // A fleet of readers: half run key-ordered range scans, half run
@@ -1824,8 +1650,9 @@ mod tests {
                 )
                 .unwrap();
             let docs: Vec<Value> = (0..200i64).map(|i| doc!({"id": i, "v": i})).collect();
-            store.ingest_all("events", docs).unwrap();
-            store.flush("events").unwrap();
+            let events = store.dataset("events").unwrap();
+            events.ingest_batch(docs, 0).unwrap();
+            events.flush().unwrap();
         }
         let mut store = Datastore::new();
         store.reopen_dataset("events", &dir).unwrap();
@@ -1841,5 +1668,152 @@ mod tests {
         assert_eq!(warm.pages_read(), 0, "{}", warm.describe());
         assert_eq!(warm.cache_hits(), cold.cache_misses());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+    #[test]
+    fn sharded_io_stats_sum_every_counter_including_pushdown() {
+        let mut store = Datastore::new();
+        store
+            .create_dataset(
+                "io",
+                DatasetOptions::new(Layout::Amax)
+                    .memtable_budget(16 * 1024)
+                    .page_size(8 * 1024)
+                    .shards(2),
+            )
+            .unwrap();
+        let ds = store.dataset("io").unwrap();
+        let docs: Vec<Value> = (0..600i64)
+            .map(|i| doc!({"id": i, "ts": i, "payload": (format!("payload of record {i}"))}))
+            .collect();
+        ds.ingest_batch(docs, 0).unwrap();
+        ds.flush().unwrap();
+
+        // Every counter, by destructuring: a field added to `IoStats` must
+        // be added here too.
+        fn fields(s: IoStats) -> [u64; 11] {
+            let IoStats {
+                pages_read,
+                pages_written,
+                bytes_read,
+                bytes_written,
+                cache_hits,
+                records_assembled,
+                leaf_cache_hits,
+                leaf_cache_misses,
+                leaf_cache_evictions,
+                records_filtered_pre_assembly,
+                leaves_skipped,
+            } = s;
+            [
+                pages_read,
+                pages_written,
+                bytes_read,
+                bytes_written,
+                cache_hits,
+                records_assembled,
+                leaf_cache_hits,
+                leaf_cache_misses,
+                leaf_cache_evictions,
+                records_filtered_pre_assembly,
+                leaves_skipped,
+            ]
+        }
+        let per_shard = || -> Vec<[u64; 11]> {
+            ds.shards().iter().map(|s| fields(s.io_stats())).collect()
+        };
+        let (facade_before, shards_before) = (fields(ds.io_stats()), per_shard());
+
+        // A selective query whose filter is pushed into the columnar scan.
+        let q = Query::count_star().with_filter(Expr::eq("ts", 300));
+        assert_eq!(ds.query(&q, ExecMode::Compiled).unwrap()[0].agg(), &Value::Int(1));
+
+        let (facade_after, shards_after) = (fields(ds.io_stats()), per_shard());
+        for field in 0..11 {
+            let shard_sum: u64 = shards_after
+                .iter()
+                .zip(&shards_before)
+                .map(|(after, before)| after[field] - before[field])
+                .sum();
+            assert_eq!(
+                facade_after[field] - facade_before[field],
+                shard_sum,
+                "IoStats field #{field}"
+            );
+        }
+        let filtered = facade_after[9] - facade_before[9];
+        assert!(filtered > 0, "the pushed filter must reject records before assembly");
+
+        // The merged metrics snapshot exports the pushdown counters too.
+        let io = ds.io_stats();
+        let metrics = ds.metrics();
+        assert_eq!(
+            metrics.counter("storage.records_filtered_pre_assembly"),
+            io.records_filtered_pre_assembly
+        );
+        assert_eq!(metrics.counter("storage.leaves_skipped"), io.leaves_skipped);
+    }
+
+    #[test]
+    fn ingest_batch_with_a_keyless_document_writes_nothing() {
+        for shards in [1, 4] {
+            let mut store = Datastore::new();
+            store
+                .create_dataset(
+                    "d",
+                    DatasetOptions::new(Layout::Amax).page_size(8 * 1024).shards(shards),
+                )
+                .unwrap();
+            let ds = store.dataset("d").unwrap();
+            let mut docs: Vec<Value> = (0..100i64).map(|i| doc!({"id": i, "v": i})).collect();
+            docs.insert(50, doc!({"v": (-1i64)}));
+            let err = ds.ingest_batch(docs, 0).unwrap_err();
+            assert!(matches!(err, Error::Api(_)), "shards {shards}: {err:?}");
+            assert_eq!(ds.count().unwrap(), 0, "shards {shards}: nothing may be written");
+        }
+    }
+
+    #[test]
+    fn reopen_rejects_missing_or_stray_shard_directories() {
+        let root = std::env::temp_dir()
+            .join(format!("docstore-facade-tests-{}", std::process::id()))
+            .join("shard-dirs");
+        let create = |dir: &std::path::Path| {
+            let _ = std::fs::remove_dir_all(dir);
+            let mut store = Datastore::new();
+            store
+                .open_dataset(
+                    "events",
+                    dir,
+                    DatasetOptions::new(Layout::Amax).page_size(8 * 1024).shards(3),
+                )
+                .unwrap();
+            let events = store.dataset("events").unwrap();
+            let docs: Vec<Value> = (0..90i64).map(|i| doc!({"id": i})).collect();
+            events.ingest_batch(docs, 0).unwrap();
+            events.flush().unwrap();
+        };
+
+        // A gap: shard-001 is gone, so the two left would misroute keys.
+        let gap = root.join("gap");
+        create(&gap);
+        std::fs::remove_dir_all(gap.join("shard-001")).unwrap();
+        let err = Datastore::new().reopen_dataset("events", &gap).unwrap_err();
+        assert!(matches!(err, Error::Api(_)), "{err:?}");
+        assert!(err.to_string().contains("not contiguous"), "{err}");
+
+        // A stray directory whose name does not parse as a shard index.
+        let stray = root.join("stray");
+        create(&stray);
+        std::fs::create_dir(stray.join("shard-x")).unwrap();
+        let err = Datastore::new().reopen_dataset("events", &stray).unwrap_err();
+        assert!(matches!(err, Error::Api(_)), "{err:?}");
+        assert!(err.to_string().contains("shard-x"), "{err}");
+
+        // The intact layout still reopens.
+        std::fs::remove_dir(stray.join("shard-x")).unwrap();
+        let mut store = Datastore::new();
+        store.reopen_dataset("events", &stray).unwrap();
+        assert_eq!(store.dataset("events").unwrap().count().unwrap(), 90);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

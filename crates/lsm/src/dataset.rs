@@ -740,6 +740,11 @@ impl LsmDataset {
         snap.push_counter("storage.bytes_written", io.bytes_written);
         snap.push_counter("storage.cache_hits", io.cache_hits);
         snap.push_counter("storage.records_assembled", io.records_assembled);
+        snap.push_counter(
+            "storage.records_filtered_pre_assembly",
+            io.records_filtered_pre_assembly,
+        );
+        snap.push_counter("storage.leaves_skipped", io.leaves_skipped);
         snap.push_counter("cache.hits", io.leaf_cache_hits);
         snap.push_counter("cache.misses", io.leaf_cache_misses);
         snap.push_counter("cache.evictions", io.leaf_cache_evictions);
@@ -963,16 +968,6 @@ impl LsmDataset {
         .lookup(key, projection)
     }
 
-    /// Batched point lookups for the (sorted) keys produced by a secondary
-    /// index probe (§4.6).
-    pub fn lookup_sorted_keys(
-        &self,
-        keys: &mut [Value],
-        projection: Option<&[Path]>,
-    ) -> Result<Vec<Value>> {
-        self.snapshot().lookup_sorted_keys(keys, projection)
-    }
-
     /// Scan the dataset, reconciling duplicates and dropping anti-matter.
     /// Only the projected paths are assembled from columnar components.
     pub fn scan(&self, projection: Option<&[Path]>) -> Result<Vec<Value>> {
@@ -993,32 +988,22 @@ impl LsmDataset {
         hi: &Value,
         projection: Option<&[Path]>,
     ) -> Result<Vec<Value>> {
-        self.secondary_range_bounds(
-            std::ops::Bound::Included(lo),
-            std::ops::Bound::Included(hi),
-            projection,
-        )
-    }
-
-    /// Like [`LsmDataset::secondary_range`], but with arbitrary (open or
-    /// exclusive) endpoints — the probe the query planner derives from a
-    /// filter expression that implies a range on the indexed path.
-    pub fn secondary_range_bounds(
-        &self,
-        lo: std::ops::Bound<&Value>,
-        hi: std::ops::Bound<&Value>,
-        projection: Option<&[Path]>,
-    ) -> Result<Vec<Value>> {
         Ok(self
-            .secondary_range_entries(lo, hi, projection)?
+            .secondary_range_entries(
+                std::ops::Bound::Included(lo),
+                std::ops::Bound::Included(hi),
+                projection,
+            )?
             .into_iter()
             .map(|(_, doc)| doc)
             .collect())
     }
 
-    /// Like [`LsmDataset::secondary_range_bounds`], but keeping each record
-    /// paired with its primary key, in key order — what the query layer's
-    /// key-ordered projection output consumes.
+    /// Like [`LsmDataset::secondary_range`], but with arbitrary (open or
+    /// exclusive) endpoints — the probe the query planner derives from a
+    /// filter expression that implies a range on the indexed path — and
+    /// keeping each record paired with its primary key, in key order: what
+    /// the query layer's key-ordered projection output consumes.
     pub fn secondary_range_entries(
         &self,
         lo: std::ops::Bound<&Value>,

@@ -144,14 +144,17 @@ impl Snapshot {
     /// dropped. Only the projected paths are assembled from columnar
     /// components. See the module-level cursor protocol.
     pub fn cursor(&self, projection: Option<&[Path]>) -> Result<ScanCursor> {
-        self.cursor_pruned(projection, &[])
+        Ok(ScanCursor {
+            inner: self.entry_cursor(projection, &[], None),
+        })
     }
 
     /// Like [`Snapshot::cursor`], but skipping the components whose position
     /// (oldest-first, matching [`Snapshot::components`]) is flagged in
-    /// `skip`. Missing trailing flags mean "do not skip".
+    /// `skip`, and with a pushed-down filter. Missing trailing flags mean
+    /// "do not skip"; an empty predicate list pushes no filter.
     ///
-    /// This is the zone-map pruning entry point: the query planner flags a
+    /// `skip` is the zone-map pruning input: the query planner flags a
     /// component when its column statistics prove **no record in it can
     /// match the filter**. Skipping is nevertheless only sound when it
     /// cannot resurrect an older, shadowed version of one of the skipped
@@ -161,23 +164,12 @@ impl Snapshot {
     /// `query::physical::prune_flags`, the single implementation of that
     /// rule. Memtables are newer than every component and are always
     /// scanned, so they never constrain pruning.
-    pub fn cursor_pruned(
-        &self,
-        projection: Option<&[Path]>,
-        skip: &[bool],
-    ) -> Result<ScanCursor> {
-        Ok(ScanCursor {
-            inner: self.entry_cursor(projection, skip, None),
-        })
-    }
-
-    /// Like [`Snapshot::cursor_pruned`], with a pushed-down filter: the
-    /// conjunction of `predicates` is evaluated source-side on each key's
-    /// reconciliation winner (filter columns only on columnar components —
-    /// no assembly for rejections), and component leaves whose zone maps
-    /// prove no match are skipped before any page read. See the
-    /// module-level filter push-down contract. An empty predicate list is
-    /// exactly [`Snapshot::cursor_pruned`].
+    ///
+    /// The conjunction of `predicates` is evaluated source-side on each
+    /// key's reconciliation winner (filter columns only on columnar
+    /// components — no assembly for rejections), and component leaves whose
+    /// zone maps prove no match are skipped before any page read. See the
+    /// module-level filter push-down contract.
     pub fn cursor_pushed(
         &self,
         projection: Option<&[Path]>,
@@ -242,17 +234,8 @@ impl Snapshot {
     /// callers that want the whole result anyway (tests, small datasets);
     /// the query engines stream instead.
     pub fn scan(&self, projection: Option<&[Path]>) -> Result<Vec<Value>> {
-        self.scan_pruned(projection, &[])
-    }
-
-    /// Materialising variant of [`Snapshot::cursor_pruned`].
-    pub fn scan_pruned(
-        &self,
-        projection: Option<&[Path]>,
-        skip: &[bool],
-    ) -> Result<Vec<Value>> {
         let mut out = Vec::new();
-        for entry in self.cursor_pruned(projection, skip)? {
+        for entry in self.cursor(projection)? {
             out.push(entry?.1);
         }
         Ok(out)
@@ -270,23 +253,10 @@ impl Snapshot {
         Ok(n)
     }
 
-    /// Batched point lookups for the (sorted) keys produced by a secondary
-    /// index probe (§4.6).
-    pub fn lookup_sorted_keys(
-        &self,
-        keys: &mut [Value],
-        projection: Option<&[Path]>,
-    ) -> Result<Vec<Value>> {
-        Ok(self
-            .lookup_sorted_entries(keys, projection)?
-            .into_iter()
-            .map(|(_, doc)| doc)
-            .collect())
-    }
-
-    /// Like [`Snapshot::lookup_sorted_keys`], but keeping each record paired
-    /// with its primary key — what the query layer's key-ordered projection
-    /// output needs.
+    /// Batched point lookups for the keys produced by a secondary index
+    /// probe (§4.6): the keys are sorted, then each record is looked up and
+    /// kept paired with its primary key — what the query layer's key-ordered
+    /// projection output needs.
     pub fn lookup_sorted_entries(
         &self,
         keys: &mut [Value],
@@ -622,7 +592,7 @@ impl Iterator for EntryMergeCursor {
 
 /// The snapshot-level streaming scan: live `(key, record)` pairs in key
 /// order, anti-matter dropped. Created by [`Snapshot::cursor`] /
-/// [`Snapshot::cursor_pruned`]; fully owned, so it may outlive the snapshot
+/// [`Snapshot::cursor_pushed`]; fully owned, so it may outlive the snapshot
 /// borrow it came from.
 pub struct ScanCursor {
     inner: EntryMergeCursor,

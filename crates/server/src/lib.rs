@@ -1,10 +1,11 @@
 //! A RESP (redis-style) network front-end for the document store: TCP in,
 //! documents, scans and analytical queries out.
 //!
-//! The crate is std-only — no async runtime. A [`Server`] owns a
-//! [`docstore::Datastore`] and serves it with one thread per connection
-//! (see [`server`] for the threading, backpressure and shutdown model);
-//! [`RespClient`] is the matching minimal blocking client. The `server`
+//! The crate is std-only — no async runtime. A [`Server`] serves one
+//! [`docstore::ShardedDataset`] (held in a [`docstore::Datastore`]
+//! catalogue) with one thread per connection (see [`server`] for the
+//! threading, backpressure and shutdown model); [`RespClient`] is the
+//! matching minimal blocking client. The `server`
 //! binary wraps [`Server`] with flags, and the bench crate's load
 //! generator drives it for `BENCH_server.json`.
 //!

@@ -1,17 +1,18 @@
-//! The TCP server: a std-only, thread-per-connection RESP front-end over a
-//! [`Datastore`].
+//! The TCP server: a std-only, thread-per-connection RESP front-end over
+//! one [`ShardedDataset`].
 //!
 //! ## Threading model
 //!
-//! [`Server::start`] opens (or creates) the dataset, binds the listener,
-//! and spawns one **accept thread**. The accept thread runs a nonblocking
-//! accept loop (sleeping a few milliseconds when idle so it notices the
-//! shutdown flag promptly) and spawns one **connection thread** per
-//! accepted socket, up to [`ServerConfig::max_connections`]; sockets over
-//! the cap get an error frame and an immediate close. All threads share one
-//! immutable [`Datastore`] (every data-plane operation takes `&self`; the
-//! engine's shards do their own internal locking) and one
-//! [`ServerMetrics`] registry.
+//! [`Server::start`] opens (or creates) the dataset in a [`Datastore`]
+//! catalogue (which also owns the background worker pool), binds the
+//! listener, and spawns one **accept thread**. The accept thread runs a
+//! nonblocking accept loop (sleeping a few milliseconds when idle so it
+//! notices the shutdown flag promptly) and spawns one **connection thread**
+//! per accepted socket, up to [`ServerConfig::max_connections`]; sockets
+//! over the cap get an error frame and an immediate close. All threads
+//! share the one served dataset (every data-plane operation of a
+//! [`ShardedDataset`] takes `&self`; the engine's shards do their own
+//! internal locking) and one [`ServerMetrics`] registry.
 //!
 //! ## Pipelining and backpressure
 //!
@@ -47,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use docmodel::{parse_json, to_json, Path, Value};
-use docstore::{DatasetOptions, Datastore, Layout};
+use docstore::{DatasetOptions, Datastore, Layout, ShardedDataset};
 use query::QueryRow;
 
 use crate::metrics::{CommandKind, ServerMetrics};
@@ -150,6 +151,8 @@ impl From<docstore::Error> for ServerError {
 
 /// State shared by the accept thread and every connection thread.
 struct Shared {
+    /// Holds the one served dataset, created in [`Server::start`] and never
+    /// removed; reach it through [`Shared::dataset`].
     store: Datastore,
     dataset: String,
     key_field: String,
@@ -158,6 +161,15 @@ struct Shared {
     metrics: ServerMetrics,
     shutdown: AtomicBool,
     max_connections: usize,
+}
+
+impl Shared {
+    /// The served dataset.
+    fn dataset(&self) -> &ShardedDataset {
+        self.store
+            .dataset(&self.dataset)
+            .expect("the served dataset is created in Server::start and never removed")
+    }
 }
 
 /// The server factory; see the module docs for the runtime model.
@@ -283,7 +295,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
     // Every reply already reached (or is in the kernel buffer of) its
     // client; make the acknowledged writes durable.
-    let _ = shared.store.sync(&shared.dataset);
+    let _ = shared.dataset().sync();
 }
 
 /// Refuse a connection over the cap: one error frame, then close.
@@ -452,7 +464,7 @@ fn cmd_set(shared: &Shared, args: &[Vec<u8>]) -> Frame {
         Ok(d) => d,
         Err(e) => return Frame::error(e),
     };
-    match shared.store.ingest(&shared.dataset, doc) {
+    match shared.dataset().insert(doc) {
         Ok(()) => Frame::Simple("OK".to_string()),
         Err(e) => Frame::error(e),
     }
@@ -466,7 +478,7 @@ fn cmd_get(shared: &Shared, args: &[Vec<u8>]) -> Frame {
         Ok(k) => k,
         Err(e) => return Frame::error(e),
     };
-    match shared.store.get(&shared.dataset, &key) {
+    match shared.dataset().get(&key) {
         Ok(Some(doc)) => Frame::bulk(to_json(&doc)),
         Ok(None) => Frame::Null,
         Err(e) => Frame::error(e),
@@ -484,8 +496,8 @@ fn cmd_del(shared: &Shared, args: &[Vec<u8>]) -> Frame {
             Err(e) => return Frame::error(e),
         };
         // Match redis semantics: count only keys that existed.
-        match shared.store.get(&shared.dataset, &key) {
-            Ok(Some(_)) => match shared.store.delete(&shared.dataset, key) {
+        match shared.dataset().get(&key) {
+            Ok(Some(_)) => match shared.dataset().delete(key) {
                 Ok(()) => deleted += 1,
                 Err(e) => return Frame::error(e),
             },
@@ -514,7 +526,7 @@ fn cmd_mset(shared: &Shared, args: &[Vec<u8>]) -> Frame {
     let n = docs.len() as i64;
     // Group commit: one writer per shard, fsync every sync_every records
     // and once at the end — the reply acknowledges a durable batch.
-    match shared.store.ingest_batch(&shared.dataset, docs, shared.sync_every) {
+    match shared.dataset().ingest_batch(docs, shared.sync_every) {
         Ok(_) => Frame::Integer(n),
         Err(e) => Frame::error(e),
     }
@@ -564,7 +576,7 @@ fn cmd_scan(shared: &Shared, conn: &mut ConnState, args: &[Vec<u8>]) -> Frame {
             return Frame::error("too many open cursors on this connection");
         }
         conn.next_cursor_id += 1;
-        let cursor = match shared.store.scan_cursor(&shared.dataset, paths.as_deref()) {
+        let cursor = match shared.dataset().cursor(paths.as_deref()) {
             Ok(c) => c,
             Err(e) => return Frame::error(e),
         };
@@ -577,11 +589,7 @@ fn cmd_scan(shared: &Shared, conn: &mut ConnState, args: &[Vec<u8>]) -> Frame {
             Some(mut cursor) => {
                 // Bounded staleness: re-pin fresh snapshots between chunks
                 // so a slow stream doesn't hold retired components alive.
-                let dataset = match shared.store.dataset(&shared.dataset) {
-                    Ok(d) => d,
-                    Err(e) => return Frame::error(e),
-                };
-                if let Err(e) = cursor.refresh(dataset) {
+                if let Err(e) = cursor.refresh(shared.dataset()) {
                     return Frame::error(e);
                 }
                 (cursor_arg, cursor)
@@ -631,21 +639,19 @@ fn cmd_query(shared: &Shared, args: &[Vec<u8>]) -> Frame {
         Ok(parsed) => parsed,
         Err(e) => return Frame::error(e),
     };
-    match shared.store.query(&shared.dataset, &query, mode) {
+    match shared.dataset().query(&query, mode) {
         Ok(rows) => Frame::Array(rows.iter().map(|r| Frame::bulk(row_to_json(r))).collect()),
         Err(e) => Frame::error(e),
     }
 }
 
 fn cmd_info(shared: &Shared) -> Frame {
-    let dataset = shared.store.dataset(&shared.dataset);
+    let ds = shared.dataset();
     let mut text = String::new();
     text.push_str(&format!("dataset:{}\n", shared.dataset));
     text.push_str(&format!("key_field:{}\n", shared.key_field));
-    if let Ok(ds) = dataset {
-        text.push_str(&format!("shards:{}\n", ds.shard_count()));
-        text.push_str(&format!("stored_bytes:{}\n", ds.total_stored_bytes()));
-    }
+    text.push_str(&format!("shards:{}\n", ds.shard_count()));
+    text.push_str(&format!("stored_bytes:{}\n", ds.total_stored_bytes()));
     text.push_str(&format!(
         "connections_active:{}\n",
         shared.metrics.active_connections()
@@ -659,10 +665,7 @@ fn cmd_info(shared: &Shared) -> Frame {
 }
 
 fn cmd_metrics(shared: &Shared, args: &[Vec<u8>]) -> Frame {
-    let mut snap = match shared.store.metrics(&shared.dataset) {
-        Ok(s) => s,
-        Err(e) => return Frame::error(e),
-    };
+    let mut snap = shared.dataset().metrics();
     shared.metrics.augment(&mut snap);
     let format = args.get(1).map(|a| a.to_ascii_uppercase());
     match format.as_deref() {
@@ -676,13 +679,9 @@ fn cmd_metrics(shared: &Shared, args: &[Vec<u8>]) -> Frame {
 }
 
 fn cmd_health(shared: &Shared) -> Frame {
-    let dataset = match shared.store.dataset(&shared.dataset) {
-        Ok(d) => d,
-        Err(e) => return Frame::error(e),
-    };
     let mut text = String::new();
     let mut degraded = false;
-    for (i, health) in dataset.health().iter().enumerate() {
+    for (i, health) in shared.dataset().health().iter().enumerate() {
         let state = format!("{:?}", health.worker);
         if health.last_error.is_some() {
             degraded = true;

@@ -80,6 +80,41 @@ pub struct IoStats {
     pub leaves_skipped: u64,
 }
 
+impl IoStats {
+    /// Field-wise sum of two sets of counters (e.g. the shards of one
+    /// dataset). Every field is summed, so a counter added to the struct
+    /// cannot be silently dropped by an aggregate.
+    pub fn merged_with(&self, other: &IoStats) -> IoStats {
+        let IoStats {
+            pages_read,
+            pages_written,
+            bytes_read,
+            bytes_written,
+            cache_hits,
+            records_assembled,
+            leaf_cache_hits,
+            leaf_cache_misses,
+            leaf_cache_evictions,
+            records_filtered_pre_assembly,
+            leaves_skipped,
+        } = *other;
+        IoStats {
+            pages_read: self.pages_read + pages_read,
+            pages_written: self.pages_written + pages_written,
+            bytes_read: self.bytes_read + bytes_read,
+            bytes_written: self.bytes_written + bytes_written,
+            cache_hits: self.cache_hits + cache_hits,
+            records_assembled: self.records_assembled + records_assembled,
+            leaf_cache_hits: self.leaf_cache_hits + leaf_cache_hits,
+            leaf_cache_misses: self.leaf_cache_misses + leaf_cache_misses,
+            leaf_cache_evictions: self.leaf_cache_evictions + leaf_cache_evictions,
+            records_filtered_pre_assembly: self.records_filtered_pre_assembly
+                + records_filtered_pre_assembly,
+            leaves_skipped: self.leaves_skipped + leaves_skipped,
+        }
+    }
+}
+
 /// A store of fixed-size pages: explicit read/write calls, atomic
 /// accounting, bytes held by a [`StorageBackend`]. Cloning shares the
 /// underlying storage.

@@ -167,6 +167,7 @@ fn facade_end_to_end_with_json_feed() {
                 .page_size(16 * 1024),
         )
         .unwrap();
+    let events = store.dataset("events").unwrap();
     let mut feed = String::new();
     for i in 0..500 {
         feed.push_str(&format!(
@@ -175,12 +176,12 @@ fn facade_end_to_end_with_json_feed() {
             i * 3
         ));
     }
-    assert_eq!(store.ingest_json("events", &feed).unwrap(), 500);
-    store.compact("events").unwrap();
+    let docs = lsm_columnar::docmodel::parse_json_stream(&feed).unwrap();
+    assert_eq!(events.ingest_batch(docs, 0).unwrap(), 500);
+    events.compact().unwrap();
 
-    let rows = store
+    let rows = events
         .query(
-            "events",
             &Query::select([Aggregate::Max(Path::parse("payload.n"))])
                 .group_by("kind")
                 .top_k(3),
@@ -189,7 +190,7 @@ fn facade_end_to_end_with_json_feed() {
         .unwrap();
     assert_eq!(rows.len(), 3);
     assert_eq!(rows[0].agg(), &Value::Int(499 * 3));
-    assert!(store.stored_bytes("events").unwrap() > 0);
+    assert!(events.total_stored_bytes() > 0);
 }
 
 #[test]
@@ -214,11 +215,11 @@ fn sharded_end_to_end_with_reopen() {
                     .page_size(16 * 1024),
             )
             .unwrap();
-        store.ingest_all("reference", docs.clone()).unwrap();
-        store.flush("reference").unwrap();
-        store
+        let reference = store.dataset("reference").unwrap();
+        reference.ingest_batch(docs.clone(), 0).unwrap();
+        reference.flush().unwrap();
+        reference
             .query(
-                "reference",
                 &Query::select([Aggregate::Max(Path::parse("duration"))])
                     .group_by("caller")
                     .top_k(5),
@@ -242,23 +243,20 @@ fn sharded_end_to_end_with_reopen() {
             )
             .unwrap();
         // Parallel ingest: partitioned by primary key, one thread per shard.
-        assert_eq!(store.ingest_parallel("calls", docs).unwrap(), records);
-        store.flush("calls").unwrap();
-
         let sharded = store.dataset("calls").unwrap();
+        assert_eq!(sharded.ingest_batch(docs, 0).unwrap(), records);
+        sharded.flush().unwrap();
+
         assert_eq!(sharded.shard_count(), 4);
         for shard in sharded.shards() {
             assert!(shard.count().unwrap() > 0, "every shard owns records");
         }
 
         // Fan-out COUNT(*) and grouped top-k agree with the reference.
-        let count = store
-            .query("calls", &Query::count_star(), ExecMode::Compiled)
-            .unwrap();
+        let count = sharded.query(&Query::count_star(), ExecMode::Compiled).unwrap();
         assert_eq!(count[0].agg(), &Value::Int(records as i64));
-        let groups = store
+        let groups = sharded
             .query(
-                "calls",
                 &Query::select([Aggregate::Max(Path::parse("duration"))])
                     .group_by("caller")
                     .top_k(5),
@@ -271,14 +269,12 @@ fn sharded_end_to_end_with_reopen() {
 
     let mut store = Datastore::new();
     store.reopen_dataset("calls", &dir).unwrap();
-    assert_eq!(store.dataset("calls").unwrap().shard_count(), 4);
-    let count = store
-        .query("calls", &Query::count_star(), ExecMode::Compiled)
-        .unwrap();
+    let calls = store.dataset("calls").unwrap();
+    assert_eq!(calls.shard_count(), 4);
+    let count = calls.query(&Query::count_star(), ExecMode::Compiled).unwrap();
     assert_eq!(count[0].agg(), &Value::Int(records as i64));
-    let groups = store
+    let groups = calls
         .query(
-            "calls",
             &Query::select([Aggregate::Max(Path::parse("duration"))])
                 .group_by("caller")
                 .top_k(5),
