@@ -8,8 +8,10 @@
 //! Lifecycle, as in the paper:
 //!
 //! * inserts/upserts/deletes go to the memtable; the secondary index is kept
-//!   correct by fetching the old record first (a point lookup — cheap for row
-//!   layouts, linear-search-plus-decode for columnar ones, §4.6);
+//!   correct by fetching the indexed path of the old record first (a point
+//!   lookup, §4.6: a binary search of the row page, or of a columnar leaf's
+//!   key chunk followed by assembling just that one record from the indexed
+//!   column);
 //! * when the memtable exceeds its budget it is *sealed* and flushed: the
 //!   tuple compactor observes the flushed records to grow the inferred
 //!   schema and the records are written as an on-disk component in the
@@ -1746,7 +1748,10 @@ impl DatasetCore {
         };
         if may_exist {
             self.stats.lock().maintenance_lookups += 1;
-            if let Some(old) = self.lookup_locked(write, key, None)? {
+            // Only the indexed path of the old record is needed: for AMAX
+            // that is Page 0 plus the indexed column's megapage.
+            let projection = [index_path.clone()];
+            if let Some(old) = self.lookup_locked(write, key, Some(&projection))? {
                 let old_values: Vec<Value> =
                     index_path.evaluate(&old).into_iter().cloned().collect();
                 if let Some(secondary) = write.secondary.as_mut() {

@@ -1,14 +1,16 @@
 //! Primary-key and secondary indexes.
 //!
 //! * The **primary-key index** stores only keys. During update-intensive
-//!   ingestion it answers "does this key already exist?" so that the
-//!   expensive point lookup against the (columnar) primary index is skipped
-//!   for brand-new keys (§4.6).
+//!   ingestion it answers "does this key already exist?" so that the point
+//!   lookup against the primary index — a key probe in every component whose
+//!   key range covers the key — is skipped for brand-new keys (§4.6).
 //! * The **secondary index** maps a field's value (e.g. the tweet timestamp)
 //!   to the primary keys of the records holding it. Maintaining it on an
-//!   upsert requires fetching the *old* record to remove its stale entry —
-//!   that fetch is what makes update-intensive ingestion slower for columnar
-//!   layouts (Figure 13a, `tweet_2*`).
+//!   upsert requires fetching the indexed value of the *old* record to
+//!   remove its stale entry. For a columnar layout that fetch reads the
+//!   leaf's key page plus the indexed column and assembles one record; it is
+//!   what makes update-intensive ingestion slower for columnar layouts
+//!   (Figure 13a, `tweet_2*`).
 //!
 //! Both indexes are modelled as in-memory ordered maps standing in for the
 //! secondary LSM B+-trees of the real system; their sizes are reported by the

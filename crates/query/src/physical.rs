@@ -927,6 +927,10 @@ fn estimate_access(
     // the projected columns of that leaf (at least one page: the key page).
     // A lookup that lands on a cached leaf reads nothing, so each
     // component's term carries the same residency discount as the scan.
+    // This is an upper bound: a component whose leaf does not hold the key
+    // answers from its key page alone (AMAX Page 0) and reads no other
+    // column. The bound is kept as is: tightening it could shift Auto's
+    // scan-versus-probe choice.
     let pages_per_lookup: f64 = ctx
         .components
         .iter()

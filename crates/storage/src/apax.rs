@@ -80,14 +80,13 @@ pub fn decode_apax_header(buf: &[u8]) -> Result<ApaxHeader> {
     })
 }
 
-/// Decode the requested columns (or all columns when `projection` is `None`)
-/// from an APAX page payload. The caller provides the specs from the
-/// component's persisted schema; minipages of unprojected columns are left
-/// untouched (the CPU saving of APAX).
+/// Decode the columns `wanted` accepts from an APAX page payload. The caller
+/// provides the specs from the component's persisted schema; minipages of
+/// unwanted columns are left untouched (the CPU saving of APAX).
 pub fn decode_apax_columns(
     buf: &[u8],
     specs: &HashMap<ColumnId, ColumnSpec>,
-    projection: Option<&[ColumnId]>,
+    wanted: impl Fn(ColumnId) -> bool,
 ) -> Result<(ApaxHeader, Vec<ColumnChunk>)> {
     let mut pos = 0usize;
     let record_count = varint::read_u64(buf, &mut pos)? as usize;
@@ -105,11 +104,7 @@ pub fn decode_apax_columns(
 
     let mut chunks = Vec::new();
     for (id, offset, len) in directory {
-        let wanted = match projection {
-            Some(ids) => ids.contains(&id),
-            None => true,
-        };
-        if !wanted {
+        if !wanted(id) {
             continue;
         }
         let Some(spec) = specs.get(&id) else {
@@ -205,7 +200,7 @@ mod tests {
         assert_eq!(header.min_key, Value::Int(1));
         assert_eq!(header.max_key, Value::Int(3));
 
-        let (_, chunks) = decode_apax_columns(&page, &specs, None).unwrap();
+        let (_, chunks) = decode_apax_columns(&page, &specs, |_| true).unwrap();
         assert_eq!(chunks.len(), batch.columns.len());
         for (decoded, original) in chunks.iter().zip(&batch.columns) {
             assert_eq!(decoded, original);
@@ -220,7 +215,7 @@ mod tests {
         let specs: HashMap<ColumnId, ColumnSpec> =
             columns_of(&schema).into_iter().map(|s| (s.id, s)).collect();
         let key_id = columns_of(&schema).iter().find(|c| c.is_key).unwrap().id;
-        let (_, chunks) = decode_apax_columns(&page, &specs, Some(&[key_id])).unwrap();
+        let (_, chunks) = decode_apax_columns(&page, &specs, |id| id == key_id).unwrap();
         assert_eq!(chunks.len(), 1);
         assert!(chunks[0].spec.is_key);
     }
@@ -241,6 +236,6 @@ mod tests {
         let specs: HashMap<ColumnId, ColumnSpec> =
             columns_of(&schema).into_iter().map(|s| (s.id, s)).collect();
         assert!(decode_apax_header(&page[..1]).is_err());
-        assert!(decode_apax_columns(&page[..page.len() / 2], &specs, None).is_err());
+        assert!(decode_apax_columns(&page[..page.len() / 2], &specs, |_| true).is_err());
     }
 }

@@ -92,7 +92,7 @@ use schema::{columns_of, ColumnId, ColumnSpec, Schema};
 
 use crate::amax::{self, AmaxConfig};
 use crate::apax;
-use crate::leafcache::{DecodedLeaf, LeafCacheHandle, LeafPayloadKind};
+use crate::leafcache::{DecodedLeaf, LeafCacheHandle};
 use crate::pagestore::{BufferCache, PageId};
 use crate::rowformat::RowFormat;
 use crate::rowpage;
@@ -420,7 +420,21 @@ pub trait ComponentReader {
     /// (`None` = every column, `Some(&[])` = keys only).
     fn scan(&self, projection: Option<&[Path]>) -> Result<ComponentScan<'_>>;
     /// Point lookup. `Ok(None)` = key not in this component,
-    /// `Ok(Some(None))` = anti-matter entry, `Ok(Some(Some(doc)))` = record.
+    /// `Ok(Some(None))` = anti-matter entry, `Ok(Some(Some(doc)))` = record,
+    /// assembled from the projected paths only (`None` = every column).
+    ///
+    /// I/O contract. The in-memory leaf directory is binary-searched for the
+    /// one leaf whose key range covers `key`; a key outside every leaf costs
+    /// nothing. Row layouts decode that leaf's page and binary-search it.
+    /// Columnar layouts first probe the leaf's key chunk alone — AMAX Page 0,
+    /// or the key minipage of the APAX page — so an absent key or an
+    /// anti-matter entry costs one page read and assembles no record. Only a
+    /// live key reads the projected columns (for AMAX, their megapages) and
+    /// assembles exactly one record (`records_assembled` += 1). The first
+    /// page is read, and its key chunk decoded, at most once per lookup. With
+    /// a leaf cache attached, the key-only probe and the projected columns
+    /// are cached as separate `Chunks` payloads, the same payloads cursors
+    /// over those column sets read.
     fn lookup(&self, key: &Value, projection: Option<&[Path]>) -> Result<Option<Option<Value>>>;
 }
 
@@ -678,60 +692,87 @@ impl Component {
         read_page_payload(&self.cache, id)
     }
 
-    /// Locate the leaf that may contain `key`.
+    /// Locate the leaf that may contain `key`. Leaves are sorted and
+    /// key-disjoint, so the only candidate is the first leaf whose `max_key`
+    /// is not below `key`.
     fn leaf_for_key(&self, key: &Value) -> Option<usize> {
-        self.leaves.iter().position(|leaf| {
-            total_cmp(key, &leaf.min_key) != std::cmp::Ordering::Less
-                && total_cmp(key, &leaf.max_key) != std::cmp::Ordering::Greater
-        })
+        let idx = self
+            .leaves
+            .partition_point(|leaf| total_cmp(&leaf.max_key, key) == Ordering::Less);
+        let leaf = self.leaves.get(idx)?;
+        (total_cmp(key, &leaf.min_key) != Ordering::Less).then_some(idx)
+    }
+
+    fn key_spec(&self) -> Result<&ColumnSpec> {
+        self.key_spec
+            .as_ref()
+            .ok_or_else(|| DecodeError::new("columnar component lacks a key column"))
     }
 
     /// Decode the column chunks of one columnar leaf (APAX page or AMAX mega
-    /// leaf), restricted to `columns` (`None` = all). The key column is
-    /// always included.
+    /// leaf), restricted to `columns` (`None` = all). The key chunk is always
+    /// included, first. `head` carries the leaf's first page and key chunk
+    /// when the caller already has them, and keeps what this call reads, so
+    /// neither is read or decoded twice.
     fn decode_chunks(
         &self,
         leaf: &LeafDescriptor,
         columns: Option<&[ColumnId]>,
-    ) -> Result<Vec<columnar::ColumnChunk>> {
-        match self.config.layout {
-            LayoutKind::Apax => {
-                let payload = self.read_payload(leaf.page)?;
-                let (_, chunks) = apax::decode_apax_columns(&payload, &self.specs, columns)?;
-                Ok(chunks)
-            }
-            LayoutKind::Amax => {
-                let page0 = self.read_payload(leaf.page)?;
-                let header = amax::decode_amax_header(&page0)?;
-                let key_spec = self
-                    .key_spec
-                    .as_ref()
-                    .ok_or_else(|| DecodeError::new("AMAX component lacks a key column"))?;
-                let key_chunk = amax::decode_amax_keys(&page0, &header, key_spec)?;
-                let page_budget = self.cache.store().page_size() - 64;
-                let mut chunks = vec![key_chunk];
-                for loc in &header.columns {
-                    let wanted = match columns {
-                        Some(ids) => ids.contains(&loc.column_id),
-                        None => true,
-                    };
-                    if !wanted {
-                        continue;
+        head: &mut LeafHead,
+    ) -> Result<Vec<Arc<columnar::ColumnChunk>>> {
+        let key_spec = self.key_spec()?;
+        let keys = match &head.keys {
+            Some(keys) => keys.clone(),
+            None => {
+                let page = head.page(self, leaf)?;
+                let keys = match self.config.layout {
+                    LayoutKind::Apax => {
+                        apax::decode_apax_columns(&page, &self.specs, |id| id == key_spec.id)?
+                            .1
+                            .pop()
+                            .ok_or_else(|| DecodeError::new("APAX page lacks the key column"))?
                     }
-                    let Some(spec) = self.specs.get(&loc.column_id) else {
-                        continue;
-                    };
-                    let chunk = amax::read_amax_column(loc, page_budget, spec, |i| {
-                        self.read_payload(leaf.data_pages[i])
-                    })?;
-                    chunks.push(chunk);
-                }
-                Ok(chunks)
+                    LayoutKind::Amax => {
+                        let header = amax::decode_amax_header(&page)?;
+                        amax::decode_amax_keys(&page, &header, key_spec)?
+                    }
+                    LayoutKind::Open | LayoutKind::Vb => {
+                        return Err(DecodeError::new("row layouts have no column chunks"))
+                    }
+                };
+                let keys = Arc::new(keys);
+                head.keys = Some(keys.clone());
+                keys
             }
-            LayoutKind::Open | LayoutKind::Vb => {
-                Err(DecodeError::new("row layouts have no column chunks"))
-            }
+        };
+        let mut chunks = vec![keys];
+        if columns.is_some_and(|ids| ids.iter().all(|&id| id == key_spec.id)) {
+            return Ok(chunks);
         }
+        let wanted =
+            |id: ColumnId| id != key_spec.id && columns.is_none_or(|ids| ids.contains(&id));
+        let page = head.page(self, leaf)?;
+        if self.config.layout == LayoutKind::Apax {
+            let (_, rest) = apax::decode_apax_columns(&page, &self.specs, wanted)?;
+            chunks.extend(rest.into_iter().map(Arc::new));
+            return Ok(chunks);
+        }
+        let header = amax::decode_amax_header(&page)?;
+        let page_budget = self.cache.store().page_size() - 64;
+        for loc in header.columns.iter().filter(|loc| wanted(loc.column_id)) {
+            let Some(spec) = self.specs.get(&loc.column_id) else {
+                continue;
+            };
+            let chunk = amax::read_amax_column(loc, page_budget, spec, |i| {
+                let id = leaf
+                    .data_pages
+                    .get(i)
+                    .ok_or_else(|| DecodeError::new("AMAX megapage beyond the leaf's pages"))?;
+                self.read_payload(*id)
+            })?;
+            chunks.push(Arc::new(chunk));
+        }
+        Ok(chunks)
     }
 
     /// The shared decoded-leaf cache handle, when the owning dataset
@@ -761,9 +802,7 @@ impl Component {
                 .note_records_assembled(entries.len() as u64);
             return Ok(Arc::new(entries));
         };
-        if let Some(DecodedLeaf::Rows(entries)) =
-            handle.get(self.meta.id, leaf_idx, LeafPayloadKind::Entries, None)
-        {
+        if let Some(DecodedLeaf::Rows(entries)) = handle.get(self.meta.id, leaf_idx, None) {
             self.cache.store().note_leaf_cache_hit();
             return Ok(entries);
         }
@@ -776,7 +815,6 @@ impl Component {
         let evicted = handle.insert(
             self.meta.id,
             leaf_idx,
-            LeafPayloadKind::Entries,
             None,
             DecodedLeaf::Rows(entries.clone()),
         );
@@ -785,33 +823,27 @@ impl Component {
     }
 
     /// Decoded column chunks of one columnar leaf, through the decoded-leaf
-    /// cache when one is attached.
+    /// cache when one is attached (see [`Component::decode_chunks`] for
+    /// `head`).
     fn cached_chunks(
         &self,
         leaf_idx: usize,
         columns: Option<&[ColumnId]>,
+        head: &mut LeafHead,
     ) -> Result<Arc<Vec<Arc<columnar::ColumnChunk>>>> {
+        let leaf = &self.leaves[leaf_idx];
         let Some(handle) = self.leaf_cache() else {
-            let chunks = self.decode_chunks(&self.leaves[leaf_idx], columns)?;
-            return Ok(Arc::new(chunks.into_iter().map(Arc::new).collect()));
+            return Ok(Arc::new(self.decode_chunks(leaf, columns, head)?));
         };
-        if let Some(DecodedLeaf::Chunks(chunks)) =
-            handle.get(self.meta.id, leaf_idx, LeafPayloadKind::Chunks, columns)
-        {
+        if let Some(DecodedLeaf::Chunks(chunks)) = handle.get(self.meta.id, leaf_idx, columns) {
             self.cache.store().note_leaf_cache_hit();
             return Ok(chunks);
         }
         self.cache.store().note_leaf_cache_miss();
-        let chunks: Arc<Vec<Arc<columnar::ColumnChunk>>> = Arc::new(
-            self.decode_chunks(&self.leaves[leaf_idx], columns)?
-                .into_iter()
-                .map(Arc::new)
-                .collect(),
-        );
+        let chunks = Arc::new(self.decode_chunks(leaf, columns, head)?);
         let evicted = handle.insert(
             self.meta.id,
             leaf_idx,
-            LeafPayloadKind::Chunks,
             columns,
             DecodedLeaf::Chunks(chunks.clone()),
         );
@@ -819,59 +851,42 @@ impl Component {
         Ok(chunks)
     }
 
-    fn assemble_leaf(&self, leaf_idx: usize, columns: Option<&[ColumnId]>) -> Result<Vec<Entry>> {
-        match self.config.layout {
-            LayoutKind::Open | LayoutKind::Vb => {
-                let entries = self.row_entries(leaf_idx)?;
-                Ok(Arc::try_unwrap(entries).unwrap_or_else(|arc| arc.as_ref().clone()))
-            }
-            LayoutKind::Apax | LayoutKind::Amax => {
-                let count = self.leaves[leaf_idx].record_count;
-                let Some(handle) = self.leaf_cache() else {
-                    let chunks: Vec<Arc<columnar::ColumnChunk>> = self
-                        .decode_chunks(&self.leaves[leaf_idx], columns)?
-                        .into_iter()
-                        .map(Arc::new)
-                        .collect();
-                    return self.assemble_chunks(&chunks, count);
-                };
-                if let Some(DecodedLeaf::Rows(entries)) =
-                    handle.get(self.meta.id, leaf_idx, LeafPayloadKind::Entries, columns)
-                {
-                    // Assembled hit: the lookup pays neither page reads nor
-                    // the per-record assembly.
-                    self.cache.store().note_leaf_cache_hit();
-                    return Ok(entries.as_ref().clone());
-                }
-                self.cache.store().note_leaf_cache_miss();
-                // A cursor may already have warmed this leaf's chunks; reuse
-                // them silently rather than decoding the pages again.
-                let chunks = match handle.peek(
-                    self.meta.id,
-                    leaf_idx,
-                    LeafPayloadKind::Chunks,
-                    columns,
-                ) {
-                    Some(DecodedLeaf::Chunks(chunks)) => chunks,
-                    _ => Arc::new(
-                        self.decode_chunks(&self.leaves[leaf_idx], columns)?
-                            .into_iter()
-                            .map(Arc::new)
-                            .collect::<Vec<_>>(),
-                    ),
-                };
-                let entries = Arc::new(self.assemble_chunks(&chunks, count)?);
-                let evicted = handle.insert(
-                    self.meta.id,
-                    leaf_idx,
-                    LeafPayloadKind::Entries,
-                    columns,
-                    DecodedLeaf::Rows(entries.clone()),
-                );
-                self.cache.store().note_leaf_cache_evictions(evicted);
-                Ok(entries.as_ref().clone())
-            }
+    /// Point lookup in one columnar leaf: probe the key chunk alone, and
+    /// only for a live key fetch the projected chunks and assemble the one
+    /// record (the I/O contract on [`ComponentReader::lookup`]).
+    fn lookup_columnar(
+        &self,
+        leaf_idx: usize,
+        key: &Value,
+        projection: Option<&[Path]>,
+    ) -> Result<Option<Option<Value>>> {
+        let mut head = LeafHead::default();
+        let key_only = [self.key_spec()?.id];
+        let probe = self.cached_chunks(leaf_idx, Some(&key_only), &mut head)?;
+        let keys = key_chunk(&probe)?;
+        let Some(pos) = find_key(&keys, key) else {
+            return Ok(None);
+        };
+        if keys.defs.get(pos) == Some(&0) {
+            return Ok(Some(None)); // anti-matter keeps its key at def level 0
         }
+        head.keys = Some(keys);
+        let columns = self.projection_columns(projection);
+        let chunks = match columns.as_deref() {
+            Some(ids) if ids.iter().all(|id| key_only.contains(id)) => probe,
+            columns => self.cached_chunks(leaf_idx, columns, &mut head)?,
+        };
+        let mut assembler = Assembler::new(
+            &self.schema,
+            column_cursors(&chunks),
+            self.leaves[leaf_idx].record_count,
+        );
+        assembler.skip_records(pos);
+        let doc = assembler
+            .next_record()
+            .unwrap_or_else(|| Err(DecodeError::new("assembler ended early")))?;
+        self.cache.store().note_records_assembled(1);
+        Ok(Some(Some(doc)))
     }
 
     /// Load one leaf into a cursor buffer. Row layouts materialise every
@@ -904,21 +919,16 @@ impl Component {
                     // Late materialization: decode only the key + filter
                     // columns; the projection assembler is created on the
                     // leaf's first surviving record (see `CursorState::next`).
-                    let chunks = self.cached_chunks(leaf_idx, Some(&filter.columns))?;
-                    let keys = chunks
-                        .iter()
-                        .find(|c| c.spec.is_key)
-                        .cloned()
-                        .ok_or_else(|| DecodeError::new("component page lacks the key column"))?;
-                    let cursors: Vec<ColumnCursor> = chunks
-                        .iter()
-                        .map(|c| ColumnCursor::new(c.clone()))
-                        .collect();
+                    let chunks = self.cached_chunks(
+                        leaf_idx,
+                        Some(&filter.columns),
+                        &mut LeafHead::default(),
+                    )?;
                     return Ok(LeafBuffer::Lazy(Box::new(LazyLeaf {
-                        keys,
+                        keys: key_chunk(&chunks)?,
                         assembler: None,
                         filter_eval: Some(FilterEval {
-                            assembler: Assembler::new(&self.schema, cursors, count),
+                            assembler: Assembler::new(&self.schema, column_cursors(&chunks), count),
                             pos: 0,
                             last: None,
                         }),
@@ -929,19 +939,10 @@ impl Component {
                         count,
                     })));
                 }
-                let chunks = self.cached_chunks(leaf_idx, columns)?;
-                let keys = chunks
-                    .iter()
-                    .find(|c| c.spec.is_key)
-                    .cloned()
-                    .ok_or_else(|| DecodeError::new("component page lacks the key column"))?;
-                let cursors: Vec<ColumnCursor> = chunks
-                    .iter()
-                    .map(|c| ColumnCursor::new(c.clone()))
-                    .collect();
+                let chunks = self.cached_chunks(leaf_idx, columns, &mut LeafHead::default())?;
                 Ok(LeafBuffer::Lazy(Box::new(LazyLeaf {
-                    keys,
-                    assembler: Some(Assembler::new(&self.schema, cursors, count)),
+                    keys: key_chunk(&chunks)?,
+                    assembler: Some(Assembler::new(&self.schema, column_cursors(&chunks), count)),
                     filter_eval: None,
                     filter_covers_projection: false,
                     projection: columns.map(<[ColumnId]>::to_vec),
@@ -954,52 +955,18 @@ impl Component {
     }
 
     /// An [`Assembler`] over the projection columns of one leaf, positioned
-    /// at record `pos` — the deferred half of a filtered columnar load,
-    /// created only once some record of the leaf survives the filter.
-    fn projection_assembler(
-        &self,
-        leaf_idx: usize,
-        columns: Option<&[ColumnId]>,
-        count: usize,
-        pos: usize,
-    ) -> Result<Assembler> {
-        let chunks = self.cached_chunks(leaf_idx, columns)?;
-        let cursors: Vec<ColumnCursor> = chunks
-            .iter()
-            .map(|c| ColumnCursor::new(c.clone()))
-            .collect();
-        let mut assembler = Assembler::new(&self.schema, cursors, count);
-        assembler.skip_records(pos);
+    /// at the leaf's current record — the deferred half of a filtered columnar load,
+    /// created only once some record of the leaf survives the filter. The
+    /// leaf's already-decoded key chunk is reused.
+    fn projection_assembler(&self, leaf: &LazyLeaf) -> Result<Assembler> {
+        let mut head = LeafHead {
+            page: None,
+            keys: Some(leaf.keys.clone()),
+        };
+        let chunks = self.cached_chunks(leaf.leaf_idx, leaf.projection.as_deref(), &mut head)?;
+        let mut assembler = Assembler::new(&self.schema, column_cursors(&chunks), leaf.count);
+        assembler.skip_records(leaf.pos);
         Ok(assembler)
-    }
-
-    /// Turn decoded chunks into `(key, record-or-anti-matter)` entries.
-    fn assemble_chunks(
-        &self,
-        chunks: &[Arc<columnar::ColumnChunk>],
-        count: usize,
-    ) -> Result<Vec<Entry>> {
-        let key_chunk = chunks
-            .iter()
-            .find(|c| c.spec.is_key)
-            .cloned()
-            .ok_or_else(|| DecodeError::new("component page lacks the key column"))?;
-        let cursors: Vec<ColumnCursor> = chunks
-            .iter()
-            .map(|c| ColumnCursor::new(c.clone()))
-            .collect();
-        let mut assembler = Assembler::new(&self.schema, cursors, count);
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            let doc = assembler
-                .next_record()
-                .ok_or_else(|| DecodeError::new("assembler ended early"))??;
-            let key = key_chunk.values.get(i);
-            let is_antimatter = key_chunk.defs[i] == 0;
-            out.push((key, if is_antimatter { None } else { Some(doc) }));
-        }
-        self.cache.store().note_records_assembled(count as u64);
-        Ok(out)
     }
 }
 
@@ -1023,17 +990,65 @@ impl ComponentReader for Component {
         let Some(leaf_idx) = self.leaf_for_key(key) else {
             return Ok(None);
         };
-        let columns = self.projection_columns(projection);
-        let entries = self.assemble_leaf(leaf_idx, columns.as_deref())?;
-        // Row pages are sorted, so a binary search would do; columnar pages
-        // require the linear scan over decoded keys the paper describes
-        // (§4.6). The entries are materialised either way at this point, so a
-        // linear find keeps the code paths identical.
-        Ok(entries
-            .into_iter()
-            .find(|(k, _)| total_cmp(k, key) == std::cmp::Ordering::Equal)
-            .map(|(_, doc)| doc))
+        if self.config.layout.is_columnar() {
+            return self.lookup_columnar(leaf_idx, key, projection);
+        }
+        let entries = self.row_entries(leaf_idx)?;
+        Ok(rowpage::lookup_in_page(&entries, key).map(|(_, doc)| doc.clone()))
     }
+}
+
+/// What a columnar read already has of a leaf's first page (the APAX page,
+/// or AMAX Page 0) and of the key chunk stored on it. A point lookup carries
+/// one from its key probe to its record fetch.
+#[derive(Default)]
+struct LeafHead {
+    page: Option<Arc<Vec<u8>>>,
+    keys: Option<Arc<columnar::ColumnChunk>>,
+}
+
+impl LeafHead {
+    /// The leaf's first page, read on first use.
+    fn page(&mut self, component: &Component, leaf: &LeafDescriptor) -> Result<Arc<Vec<u8>>> {
+        if let Some(page) = &self.page {
+            return Ok(page.clone());
+        }
+        let page = component.read_payload(leaf.page)?;
+        self.page = Some(page.clone());
+        Ok(page)
+    }
+}
+
+/// The key chunk among a columnar leaf's decoded chunks.
+fn key_chunk(chunks: &[Arc<columnar::ColumnChunk>]) -> Result<Arc<columnar::ColumnChunk>> {
+    chunks
+        .iter()
+        .find(|c| c.spec.is_key)
+        .cloned()
+        .ok_or_else(|| DecodeError::new("component page lacks the key column"))
+}
+
+/// One cursor per decoded chunk, sharing the chunks.
+fn column_cursors(chunks: &[Arc<columnar::ColumnChunk>]) -> Vec<ColumnCursor> {
+    chunks
+        .iter()
+        .map(|c| ColumnCursor::new(c.clone()))
+        .collect()
+}
+
+/// Binary-search a leaf's key chunk for `key`. The key column is dense and
+/// sorted: every entry, anti-matter included, stores its key.
+fn find_key(keys: &columnar::ColumnChunk, key: &Value) -> Option<usize> {
+    let (mut lo, mut hi) = (0, keys.values.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match total_cmp(&keys.values.get(mid), key) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Some(mid),
+        }
+    }
+    None
 }
 
 /// The resident leaf of a component cursor.
@@ -1232,12 +1247,7 @@ impl CursorState {
                 if leaf.assembler.is_none() {
                     // First surviving record of a filtered leaf: decode the
                     // projection chunks now and catch up to the cursor.
-                    match component.projection_assembler(
-                        leaf.leaf_idx,
-                        leaf.projection.as_deref(),
-                        leaf.count,
-                        leaf.pos,
-                    ) {
+                    match component.projection_assembler(leaf) {
                         Ok(assembler) => leaf.assembler = Some(assembler),
                         Err(e) => return Some(Err(e)),
                     }
@@ -2134,8 +2144,120 @@ mod tests {
             assert_eq!(stats.pages_read, 0, "{layout:?}");
             assert_eq!(stats.leaf_cache_misses, 0, "{layout:?}");
             assert!(stats.leaf_cache_hits >= 1, "{layout:?}");
-            // A hit serves materialised entries: nothing is re-assembled.
-            assert_eq!(stats.records_assembled, 0, "{layout:?}");
+            // A row-page hit serves decoded entries: nothing is assembled.
+            // A columnar hit serves chunks and assembles the one record.
+            let assembled = u64::from(layout.is_columnar());
+            assert_eq!(stats.records_assembled, assembled, "{layout:?}");
+        }
+    }
+
+    /// Even keys only (odd keys inside a leaf's range are absent), every
+    /// seventh entry anti-matter, with nested objects, arrays of scalars and
+    /// arrays of objects, and records that differ in shape.
+    fn nested_entries(n: i64) -> Vec<Entry> {
+        (0..n)
+            .map(|i| {
+                let key = Value::Int(i * 2);
+                if i % 7 == 3 {
+                    return (key, None);
+                }
+                let doc = match i % 3 {
+                    0 => doc!({
+                        "id": (i * 2),
+                        "user": {"name": (format!("u{}", i % 11)), "geo": {"lat": ((i as f64) * 0.5), "tags": [(i % 3), (i % 5)]}},
+                        "events": [{"kind": "open", "at": i}, {"kind": (format!("k{i}")), "at": (i + 1)}]
+                    }),
+                    1 => doc!({
+                        "id": (i * 2),
+                        "user": {"name": (format!("u{}", i % 11))},
+                        "text": (format!("row {i}"))
+                    }),
+                    _ => doc!({
+                        "id": (i * 2),
+                        "user": {"geo": {"lat": (i as f64)}},
+                        "events": [{"kind": "close", "at": i}]
+                    }),
+                };
+                (key, Some(doc))
+            })
+            .collect()
+    }
+
+    /// The point-lookup I/O contract on [`ComponentReader::lookup`]: a
+    /// columnar probe reads only the leaf's key page, and only a live key
+    /// reads its projected columns and assembles its one record.
+    #[test]
+    fn columnar_lookup_probes_keys_then_assembles_one_record() {
+        let entries = nested_entries(600);
+        let schema = schema_for(&entries);
+        let nested = [Path::parse("user.geo.lat")];
+        for layout in [LayoutKind::Apax, LayoutKind::Amax] {
+            for with_leaf_cache in [false, true] {
+                let (cache, leaf_cache) = if with_leaf_cache {
+                    let (cache, leaf_cache) = leaf_cached_cache();
+                    (cache, Some(leaf_cache))
+                } else {
+                    (small_cache(), None)
+                };
+                let mut config = ComponentConfig::new(layout);
+                config.amax.record_limit = 64;
+                let comp = Component::write(&cache, &config, schema.clone(), &entries, 1).unwrap();
+                assert!(comp.leaf_count() > 2, "{layout:?}");
+                let case = format!("{layout:?}, leaf cache {with_leaf_cache}");
+                let cold_lookup = |key: i64| {
+                    cache.clear();
+                    if let Some(leaf_cache) = &leaf_cache {
+                        leaf_cache.clear();
+                    }
+                    cache.store().reset_stats();
+                    let found = comp.lookup(&Value::Int(key), None).unwrap();
+                    (found, cache.store().stats())
+                };
+
+                let leaf = &comp.leaves[1];
+                let Value::Int(min) = leaf.min_key else {
+                    panic!("integer keys")
+                };
+                let (found, stats) = cold_lookup(min + 1);
+                assert_eq!(found, None, "{case}: in-range absent key");
+                assert_eq!(stats.pages_read, 1, "{case}: absent key reads the key page only");
+                assert_eq!(stats.records_assembled, 0, "{case}");
+
+                let (found, stats) = cold_lookup(6);
+                assert_eq!(found, Some(None), "{case}: anti-matter");
+                assert_eq!(stats.pages_read, 1, "{case}: anti-matter reads the key page only");
+                assert_eq!(stats.records_assembled, 0, "{case}");
+
+                let (found, stats) = cold_lookup(min);
+                assert_eq!(found, Some(entries[(min / 2) as usize].1.clone()), "{case}");
+                assert_eq!(stats.records_assembled, 1, "{case}: a live key assembles one record");
+                // The key page plus every megapage: what decoding the whole
+                // projection of the leaf reads, and no more.
+                let leaf_pages = 1 + leaf.data_pages.len() as u64;
+                assert_eq!(stats.pages_read, leaf_pages, "{case}");
+
+                if leaf_cache.is_some() {
+                    // The probe's key chunk stays cached: another key of the
+                    // same leaf is answered without a page read.
+                    cache.clear();
+                    cache.store().reset_stats();
+                    assert_eq!(comp.lookup(&Value::Int(min + 3), None).unwrap(), None);
+                    assert_eq!(cache.store().stats().pages_read, 0, "{case}");
+                }
+
+                for projection in [None, Some(&[][..]), Some(&nested[..])] {
+                    let scanned: Vec<Entry> =
+                        comp.scan(projection).unwrap().map(Result::unwrap).collect();
+                    assert_eq!(scanned.len(), entries.len(), "{case}");
+                    for (key, doc) in &scanned {
+                        assert_eq!(
+                            comp.lookup(key, projection).unwrap(),
+                            Some(doc.clone()),
+                            "{case}: key {key} under {projection:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

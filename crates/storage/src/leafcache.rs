@@ -7,8 +7,8 @@
 //!
 //! ## Keying
 //!
-//! Entries are keyed by `(origin, component id, leaf index, payload kind,
-//! projected columns)`:
+//! Entries are keyed by `(origin, component id, leaf index, projected
+//! columns)`:
 //!
 //! * **origin** — a small integer handed out by [`LeafCache::handle`], one
 //!   per dataset/shard attached to the cache. Component ids are only unique
@@ -19,10 +19,14 @@
 //!   future component. This is what makes the cache immune to page-id reuse:
 //!   page slots are recycled by the free list, component ids are not.
 //! * **leaf index** — position in the component's leaf directory.
-//! * **payload kind + columns** — the same leaf can be cached as decoded
-//!   column chunks (cursor path) and as fully assembled entries (lookup
-//!   path), and separately per projected column set. See
-//!   [`LeafPayloadKind`].
+//! * **columns** — columnar leaves decode only the projected columns, so the
+//!   same leaf caches separately per projected column set. Row leaves always
+//!   decode whole pages and are cached with no column set.
+//!
+//! The payload shape follows from the component's layout alone: row layouts
+//! cache decoded entries ([`DecodedLeaf::Rows`]), columnar layouts cache
+//! decoded column chunks ([`DecodedLeaf::Chunks`]) — the one shape that
+//! cursors and point lookups share.
 //!
 //! ## Eviction, scan resistance, and budget accounting
 //!
@@ -44,21 +48,19 @@
 //!   beyond that demote the protected LRU back to probation, so the cache
 //!   never wedges itself into a state where new entries can't be admitted.
 //!
-//! ## Payload sharing (why Entries and Chunks cache separately)
+//! ## Payload sharing (one leaf under several column sets)
 //!
-//! The same physical leaf may be resident as decoded [`Chunks`]
-//! (cursor path) and as assembled [`Entries`](LeafPayloadKind::Entries)
-//! (lookup path), and separately per projected column set. These are *not*
-//! shared views of one buffer — each payload owns its own decoded vectors —
-//! so the **budget** deliberately charges each payload its full footprint
+//! The same physical columnar leaf may be resident under several projected
+//! column sets: a point lookup caches its key-only probe and the columns it
+//! returned, a cursor caches the columns it scanned. Chunks are `Arc`'d, so
+//! two payloads may point at the same decoded key chunk, but the **budget**
+//! deliberately charges each payload its full footprint
 //! (`resident_leaves` / `resident_bytes` count payloads; anything else
-//! would under-report real memory). The **residency gauges** exposed for
+//! could under-report real memory). The **residency gauges** exposed for
 //! telemetry and planner discounts, however, must not double-charge a leaf
-//! for being cached in two shapes: `resident_distinct_leaves` (and the
-//! per-component `cached_leaf_count` the planner reads) deduplicate by
+//! for being cached under two column sets: `resident_distinct_leaves` (and
+//! the per-component `cached_leaf_count` the planner reads) deduplicate by
 //! `(origin, component, leaf)`.
-//!
-//! [`Chunks`]: LeafPayloadKind::Chunks
 //!
 //! ## Invalidation protocol
 //!
@@ -90,28 +92,16 @@ use schema::ColumnId;
 
 use crate::component::Entry;
 
-/// What shape of decoded payload an entry holds. Part of the cache key: the
-/// cursor path and the lookup path want different representations of the
-/// same leaf, and both may be resident at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LeafPayloadKind {
-    /// Fully materialised `(key, record)` entries — row-page decodes, and
-    /// columnar leaves that have been assembled for point lookups.
-    Entries,
-    /// Decoded column chunks with record assembly still deferred — the
-    /// columnar cursor path, which feeds chunks straight into per-column
-    /// cursors.
-    Chunks,
-}
-
 /// A cached decoded leaf. Payloads are `Arc`'d so a hit is a pointer bump,
 /// never a deep copy; column chunks are additionally `Arc`'d per chunk so
 /// they can be handed to `ColumnCursor`s without cloning the vectors.
 #[derive(Clone)]
 pub enum DecodedLeaf {
-    /// See [`LeafPayloadKind::Entries`].
+    /// Decoded `(key, record)` entries of a row-layout (Open / VB) page.
     Rows(Arc<Vec<Entry>>),
-    /// See [`LeafPayloadKind::Chunks`].
+    /// Decoded column chunks of a columnar (APAX / AMAX) leaf, with record
+    /// assembly left to the reader: cursors feed them to per-column cursors,
+    /// point lookups assemble the one record they return.
     Chunks(Arc<Vec<Arc<ColumnChunk>>>),
 }
 
@@ -120,7 +110,6 @@ struct LeafKey {
     origin: u64,
     component: u64,
     leaf: usize,
-    kind: LeafPayloadKind,
     /// Normalised (sorted, deduplicated) projected column set; `None` means
     /// every column. Different projections decode different chunk sets, so
     /// they cache separately.
@@ -163,13 +152,13 @@ pub struct LeafCacheStats {
     /// Estimated decoded bytes currently resident.
     pub resident_bytes: u64,
     /// Number of cached leaf *payloads* currently resident. The same
-    /// physical leaf cached as both entries and chunks (or under two
-    /// projections) counts once per payload — this is the budget-accounting
-    /// view, since each payload holds its own decoded copy.
+    /// physical leaf cached under two projections counts once per payload —
+    /// this is the budget-accounting view, which charges each payload its
+    /// full decoded footprint.
     pub resident_leaves: u64,
     /// Number of *distinct physical leaves* with at least one resident
     /// payload — the residency view for gauges and planner discounts, which
-    /// must not double-charge a leaf for being cached in two shapes.
+    /// must not double-charge a leaf for being cached under two projections.
     pub resident_distinct_leaves: u64,
     /// Configured byte capacity.
     pub capacity_bytes: u64,
@@ -345,14 +334,12 @@ impl LeafCache {
         origin: u64,
         component: u64,
         leaf: usize,
-        kind: LeafPayloadKind,
         columns: Option<&[ColumnId]>,
     ) -> Option<DecodedLeaf> {
         let key = LeafKey {
             origin,
             component,
             leaf,
-            kind,
             columns: normalise_columns(columns),
         };
         let found = self.lookup(&key, true);
@@ -369,14 +356,12 @@ impl LeafCache {
         origin: u64,
         component: u64,
         leaf: usize,
-        kind: LeafPayloadKind,
         columns: Option<&[ColumnId]>,
     ) -> Option<DecodedLeaf> {
         let key = LeafKey {
             origin,
             component,
             leaf,
-            kind,
             columns: normalise_columns(columns),
         };
         self.lookup(&key, true)
@@ -387,7 +372,6 @@ impl LeafCache {
         origin: u64,
         component: u64,
         leaf: usize,
-        kind: LeafPayloadKind,
         columns: Option<&[ColumnId]>,
         payload: DecodedLeaf,
     ) -> u64 {
@@ -401,7 +385,6 @@ impl LeafCache {
             origin,
             component,
             leaf,
-            kind,
             columns: normalise_columns(columns),
         };
         let mut inner = self.inner.lock();
@@ -519,23 +502,20 @@ impl LeafCacheHandle {
         &self,
         component: u64,
         leaf: usize,
-        kind: LeafPayloadKind,
         columns: Option<&[ColumnId]>,
     ) -> Option<DecodedLeaf> {
-        self.cache.get(self.origin, component, leaf, kind, columns)
+        self.cache.get(self.origin, component, leaf, columns)
     }
 
-    /// Fetch a decoded leaf without touching the hit/miss counters — used
-    /// when a miss on one payload kind can be served by transcoding another
-    /// resident kind (still refreshes recency).
+    /// Fetch a decoded leaf without touching the hit/miss counters (still
+    /// refreshes recency).
     pub fn peek(
         &self,
         component: u64,
         leaf: usize,
-        kind: LeafPayloadKind,
         columns: Option<&[ColumnId]>,
     ) -> Option<DecodedLeaf> {
-        self.cache.peek(self.origin, component, leaf, kind, columns)
+        self.cache.peek(self.origin, component, leaf, columns)
     }
 
     /// Insert a decoded leaf, evicting LRU entries as needed to stay under
@@ -544,12 +524,11 @@ impl LeafCacheHandle {
         &self,
         component: u64,
         leaf: usize,
-        kind: LeafPayloadKind,
         columns: Option<&[ColumnId]>,
         payload: DecodedLeaf,
     ) -> u64 {
         self.cache
-            .insert(self.origin, component, leaf, kind, columns, payload)
+            .insert(self.origin, component, leaf, columns, payload)
     }
 
     /// Drop every cached leaf of one component (retirement / GC). Returns
@@ -621,9 +600,9 @@ mod tests {
     fn hit_after_insert_and_counters() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        assert!(h.get(1, 0, LeafPayloadKind::Entries, None).is_none());
-        h.insert(1, 0, LeafPayloadKind::Entries, None, rows(4, 7));
-        let hit = h.get(1, 0, LeafPayloadKind::Entries, None).expect("hit");
+        assert!(h.get(1, 0, None).is_none());
+        h.insert(1, 0, None, rows(4, 7));
+        let hit = h.get(1, 0, None).expect("hit");
         assert_eq!(rows_len(&hit), 4);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -633,20 +612,20 @@ mod tests {
     }
 
     #[test]
-    fn payload_kinds_and_projections_cache_separately() {
+    fn projections_cache_separately() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        h.insert(1, 0, LeafPayloadKind::Entries, None, rows(1, 1));
-        assert!(h.peek(1, 0, LeafPayloadKind::Chunks, None).is_none());
+        h.insert(1, 0, None, rows(1, 1));
+        assert!(h.peek(1, 0, Some(&[1])).is_none());
         let cols: Vec<ColumnId> = vec![3, 1, 3];
         let sorted: Vec<ColumnId> = vec![1, 3];
-        h.insert(1, 0, LeafPayloadKind::Entries, Some(&cols), rows(2, 2));
+        h.insert(1, 0, Some(&cols), rows(2, 2));
         // Normalised column sets are order/dup insensitive.
         let hit = h
-            .peek(1, 0, LeafPayloadKind::Entries, Some(&sorted))
+            .peek(1, 0, Some(&sorted))
             .expect("normalised projection hit");
         assert_eq!(rows_len(&hit), 2);
-        assert!(h.peek(1, 0, LeafPayloadKind::Entries, None).is_some());
+        assert!(h.peek(1, 0, None).is_some());
         assert_eq!(cache.resident_leaves(), 2);
     }
 
@@ -656,14 +635,14 @@ mod tests {
         let cache = Arc::new(LeafCache::new(one_leaf * 3 + 1));
         let h = cache.handle();
         for leaf in 0..3 {
-            h.insert(1, leaf, LeafPayloadKind::Entries, None, rows(8, leaf as i64));
+            h.insert(1, leaf, None, rows(8, leaf as i64));
         }
         // Touch leaf 0 so leaf 1 is the LRU victim.
-        assert!(h.get(1, 0, LeafPayloadKind::Entries, None).is_some());
-        let evicted = h.insert(1, 3, LeafPayloadKind::Entries, None, rows(8, 3));
+        assert!(h.get(1, 0, None).is_some());
+        let evicted = h.insert(1, 3, None, rows(8, 3));
         assert_eq!(evicted, 1);
-        assert!(h.peek(1, 1, LeafPayloadKind::Entries, None).is_none());
-        assert!(h.peek(1, 0, LeafPayloadKind::Entries, None).is_some());
+        assert!(h.peek(1, 1, None).is_none());
+        assert!(h.peek(1, 0, None).is_some());
         assert!(cache.resident_bytes() <= cache.capacity_bytes());
         assert_eq!(cache.stats().evictions, 1);
     }
@@ -672,7 +651,7 @@ mod tests {
     fn oversized_payload_is_never_cached() {
         let cache = Arc::new(LeafCache::new(64));
         let h = cache.handle();
-        let evicted = h.insert(1, 0, LeafPayloadKind::Entries, None, rows(64, 0));
+        let evicted = h.insert(1, 0, None, rows(64, 0));
         assert_eq!(evicted, 0);
         assert_eq!(cache.resident_leaves(), 0);
         assert_eq!(cache.resident_bytes(), 0);
@@ -683,15 +662,15 @@ mod tests {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
         for leaf in 0..4 {
-            h.insert(1, leaf, LeafPayloadKind::Entries, None, rows(2, 1));
-            h.insert(2, leaf, LeafPayloadKind::Entries, None, rows(2, 2));
+            h.insert(1, leaf, None, rows(2, 1));
+            h.insert(2, leaf, None, rows(2, 2));
         }
         assert_eq!(h.cached_leaf_count(1), 4);
         assert_eq!(h.invalidate_component(1), 4);
         assert_eq!(h.cached_leaf_count(1), 0);
         assert_eq!(h.cached_leaf_count(2), 4);
         assert_eq!(cache.stats().invalidations, 4);
-        assert!(h.peek(2, 0, LeafPayloadKind::Entries, None).is_some());
+        assert!(h.peek(2, 0, None).is_some());
     }
 
     #[test]
@@ -700,20 +679,20 @@ mod tests {
         let shard_a = cache.handle();
         let shard_b = cache.handle();
         assert_ne!(shard_a.origin(), shard_b.origin());
-        shard_a.insert(1, 0, LeafPayloadKind::Entries, None, rows(3, 10));
-        shard_b.insert(1, 0, LeafPayloadKind::Entries, None, rows(5, 20));
+        shard_a.insert(1, 0, None, rows(3, 10));
+        shard_b.insert(1, 0, None, rows(5, 20));
         assert_eq!(
-            rows_len(&shard_a.peek(1, 0, LeafPayloadKind::Entries, None).unwrap()),
+            rows_len(&shard_a.peek(1, 0, None).unwrap()),
             3
         );
         assert_eq!(
-            rows_len(&shard_b.peek(1, 0, LeafPayloadKind::Entries, None).unwrap()),
+            rows_len(&shard_b.peek(1, 0, None).unwrap()),
             5
         );
         // Invalidating shard A's component 1 leaves shard B's untouched.
         shard_a.invalidate_component(1);
-        assert!(shard_a.peek(1, 0, LeafPayloadKind::Entries, None).is_none());
-        assert!(shard_b.peek(1, 0, LeafPayloadKind::Entries, None).is_some());
+        assert!(shard_a.peek(1, 0, None).is_none());
+        assert!(shard_b.peek(1, 0, None).is_some());
     }
 
     #[test]
@@ -724,19 +703,19 @@ mod tests {
         let cache = Arc::new(LeafCache::new(one_leaf * 8 + 1));
         let h = cache.handle();
         for leaf in 0..4 {
-            h.insert(1, leaf, LeafPayloadKind::Entries, None, rows(8, leaf as i64));
+            h.insert(1, leaf, None, rows(8, leaf as i64));
             // Promote to protected: the hot set has been re-referenced.
-            assert!(h.get(1, leaf, LeafPayloadKind::Entries, None).is_some());
+            assert!(h.get(1, leaf, None).is_some());
         }
         for leaf in 0..64 {
             // Each scan leaf is touched once — inserted, never re-hit.
-            h.insert(2, leaf, LeafPayloadKind::Entries, None, rows(8, leaf as i64));
+            h.insert(2, leaf, None, rows(8, leaf as i64));
         }
         // The scan churned through probation only; every hot leaf is still
         // resident, so the hot-key hit rate survives the scan intact.
         for leaf in 0..4 {
             assert!(
-                h.peek(1, leaf, LeafPayloadKind::Entries, None).is_some(),
+                h.peek(1, leaf, None).is_some(),
                 "hot leaf {leaf} was evicted by a one-off scan"
             );
         }
@@ -752,26 +731,26 @@ mod tests {
         let cache = Arc::new(LeafCache::new(one_leaf * 5 + 1));
         let h = cache.handle();
         for leaf in 0..5 {
-            h.insert(1, leaf, LeafPayloadKind::Entries, None, rows(8, leaf as i64));
-            assert!(h.get(1, leaf, LeafPayloadKind::Entries, None).is_some());
+            h.insert(1, leaf, None, rows(8, leaf as i64));
+            assert!(h.get(1, leaf, None).is_some());
         }
         assert_eq!(cache.resident_leaves(), 5);
         // A new insert still finds an evictable victim.
-        h.insert(1, 9, LeafPayloadKind::Entries, None, rows(8, 9));
-        assert!(h.peek(1, 9, LeafPayloadKind::Entries, None).is_some());
+        h.insert(1, 9, None, rows(8, 9));
+        assert!(h.peek(1, 9, None).is_some());
         assert!(cache.resident_bytes() <= cache.capacity_bytes());
     }
 
     #[test]
-    fn distinct_leaf_gauge_deduplicates_payload_kinds() {
+    fn distinct_leaf_gauge_deduplicates_projections() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        // One physical leaf, two shapes + one extra projection.
-        h.insert(1, 0, LeafPayloadKind::Entries, None, rows(2, 1));
-        h.insert(1, 0, LeafPayloadKind::Chunks, None, rows(2, 1));
-        h.insert(1, 0, LeafPayloadKind::Entries, Some(&[1]), rows(2, 1));
+        // One physical leaf under three column sets.
+        h.insert(1, 0, None, rows(2, 1));
+        h.insert(1, 0, Some(&[1]), rows(2, 1));
+        h.insert(1, 0, Some(&[1, 2]), rows(2, 1));
         // A second physical leaf.
-        h.insert(1, 1, LeafPayloadKind::Entries, None, rows(2, 2));
+        h.insert(1, 1, None, rows(2, 2));
         // Budget view counts payloads; residency view counts leaves.
         assert_eq!(cache.resident_leaves(), 4);
         assert_eq!(cache.resident_distinct_leaves(), 2);
@@ -783,8 +762,8 @@ mod tests {
     fn clear_counts_invalidations_and_zeroes_residency() {
         let cache = Arc::new(LeafCache::new(1 << 20));
         let h = cache.handle();
-        h.insert(1, 0, LeafPayloadKind::Entries, None, rows(2, 0));
-        h.insert(1, 1, LeafPayloadKind::Entries, None, rows(2, 1));
+        h.insert(1, 0, None, rows(2, 0));
+        h.insert(1, 1, None, rows(2, 1));
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
         assert_eq!(cache.resident_leaves(), 0);
